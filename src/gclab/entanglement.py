@@ -304,19 +304,13 @@ def _nt_minus_fn(sf: StandardForm, channel: ChannelSpec):
     return nt_minus
 
 
-def _nt_minus_at_k(sf: StandardForm, channel: ChannelSpec, k: float) -> float:
-    return _nt_minus_fn(sf, channel)(k)
-
-
 # nt_minus evaluations near a degenerate PPT spectrum carry sqrt-cancellation
 # noise of order 1e-8; a sign change must clear this to count as a crossing
 G_NOISE = 1e-7
 
 
-def _bisect_crossing(sf: StandardForm, channel: ChannelSpec,
-                     scan_points: int = 3000) -> float | None:
-    """First k (descending from 1) where nt_minus crosses 1/2; None if no crossing."""
-    nt = _nt_minus_fn(sf, channel)
+def _bisect_crossing(nt, scan_points: int = 3000) -> float | None:
+    """First k (descending from 1) where nt(k) crosses 1/2; None if no crossing."""
     g = lambda k: nt(k) - 0.5
     taus = [T_HORIZON * i / scan_points for i in range(scan_points + 1)]
     prev_k = 1.0
@@ -350,33 +344,34 @@ def entanglement_time(sf: StandardForm, channel: ChannelSpec) -> EntanglementTim
         raise NotEntangledAtStartError(
             f"state is separable at t = 0 (nt_minus = {neg0.nt_minus:.6g}, E_N = 0)")
 
+    nt = _nt_minus_fn(sf, channel)
     quartic = separability_quartic(invariant_polynomials(sf, channel))
     candidates = [k for k in real_quartic_roots(*quartic.coefficients())
                   if K_MIN < k <= 1.0 + 1e-12]
     k_quartic = None
     for k in sorted(candidates, reverse=True):
         k = min(k, 1.0)
-        if abs(_nt_minus_at_k(sf, channel, k) - 0.5) <= 1e-6:
+        if abs(nt(k) - 0.5) <= 1e-6:
             k_quartic = k
             break
 
-    k_bisect = _bisect_crossing(sf, channel)
+    k_bisect = _bisect_crossing(nt)
 
     gamma = channel.gamma
     if k_bisect is not None and k_quartic is not None:
         if abs(k_quartic - k_bisect) > K_AGREE:
             raise MethodDisagreementError(
                 f"quartic root k = {k_quartic:.12g} vs bisection k = {k_bisect:.12g}")
-        res = abs(_nt_minus_at_k(sf, channel, k_quartic) - 0.5)
+        res = abs(nt(k_quartic) - 0.5)
         return EntanglementTimeResult(-math.log(k_quartic) / gamma, k_quartic,
                                       "quartic", res)
     if k_bisect is not None:
-        res = abs(_nt_minus_at_k(sf, channel, k_bisect) - 0.5)
+        res = abs(nt(k_bisect) - 0.5)
         return EntanglementTimeResult(-math.log(k_bisect) / gamma, k_bisect,
                                       "bisection", res)
     if k_quartic is not None:
         # nt_minus touches 1/2 without a sign change
-        res = abs(_nt_minus_at_k(sf, channel, k_quartic) - 0.5)
+        res = abs(nt(k_quartic) - 0.5)
         return EntanglementTimeResult(-math.log(k_quartic) / gamma, k_quartic,
                                       "quartic", res, tangent=True)
     return EntanglementTimeResult(NEVER, 0.0, "bisection", math.nan)

@@ -228,7 +228,11 @@ def require_bona_fide(m: CovarianceMatrix) -> ValidationReport:
 
 def symplectic_spectrum(m: CovarianceMatrix) -> SymplecticSpectrum:
     """Ordinary and partial-transpose symplectic eigenvalues of a 4x4 matrix."""
-    inv = local_invariants(m)
+    return _spectrum_of(local_invariants(m))
+
+
+def _spectrum_of(inv: SymplecticInvariants) -> SymplecticSpectrum:
+    """n+- and nt+- from the invariants: roots of q^2 - Delta q + Det sigma."""
 
     def pair(delta: float) -> tuple[float, float]:
         rad = _clamp_nonneg(delta ** 2 - 4.0 * inv.det_sigma)
@@ -285,7 +289,7 @@ def mutual_information(m: CovarianceMatrix) -> float:
     """I = f(a) + f(b) - f(n-) - f(n+) with a, b from the block determinants."""
     require_bona_fide(m)
     inv = local_invariants(m)
-    spec = symplectic_spectrum(m)
+    spec = _spectrum_of(inv)
     a = math.sqrt(inv.det_alpha)
     b = math.sqrt(inv.det_beta)
     val = (entropy_kernel(a) + entropy_kernel(b)

@@ -1,12 +1,15 @@
 """Channel map, ODE oracle, and metric time series."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
 
+import gclab.states
 from gclab import (
     ChannelSpec,
+    ComplexSpectrumError,
     DomainError,
     EvolutionProblem,
     asymptotic_covariance,
@@ -25,7 +28,8 @@ from gclab import (
     validate_covariance,
     von_neumann_entropy,
 )
-from util import random_channel, random_standard_form
+from gclab.cli import metrics_line
+from util import random_channel, random_standard_form, scalar_time_series
 
 
 def test_evolve_at_zero_is_identity(rng):
@@ -213,3 +217,78 @@ def test_standard_form_of_evolved_state_retrievable(rng):
     inv_direct = local_invariants(out)
     inv_derived = local_invariants(derived.to_matrix())
     assert inv_derived.det_sigma == pytest.approx(inv_direct.det_sigma, rel=1e-9)
+
+
+def _outcome(series, problem):
+    """CSV lines of a series, or the type and message of what it raised."""
+    try:
+        return [metrics_line(row) for row in series(problem)]
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def _problem_families(rng):
+    """Random sf states in random squeezed channels, pure twin beams,
+    symmetric states in equal thermal baths (degenerate n+-), and ph baths
+    with an angle on bath 2."""
+    N = rng.uniform(0.0, 2.0)
+    return [
+        (random_standard_form(rng), random_channel(rng)),
+        (squeezed_thermal_state(1.0, rng.uniform(0.1, 2.0)), random_channel(rng)),
+        (squeezed_thermal_state(rng.uniform(0.1, 1.0), rng.uniform(0.0, 1.5)),
+         ChannelSpec.thermal(N, N, rng.uniform(0.2, 3.0))),
+        (random_standard_form(rng), ChannelSpec.from_phenomenological(
+            rng.uniform(0.2, 1.0), rng.uniform(0.0, 1.0), rng.uniform(0.2, 1.0),
+            rng.uniform(0.0, 1.0), rng.uniform(-1.5, 1.5), rng.uniform(0.2, 3.0))),
+    ]
+
+
+def test_time_series_bytes_match_scalar_path(rng):
+    compared = 0
+    for _ in range(3):
+        for sf, spec in _problem_families(rng):
+            tmax = rng.uniform(0.5, 8.0)
+            for grid in ((0.0,), (0.0, tmax), tuple(np.linspace(0.0, tmax, 301))):
+                problem = EvolutionProblem(sf, spec, grid)
+                batched = _outcome(time_series, problem)
+                assert batched == _outcome(scalar_time_series, problem)
+                if isinstance(batched, list):
+                    compared += len(batched)
+    assert compared >= 3000
+
+
+def test_time_series_raises_like_scalar_path():
+    # degenerate n+- in vacuum-like baths: a radicand of -3e-12 at some row
+    problem = EvolutionProblem(squeezed_thermal_state(1.0, 2.5),
+                               ChannelSpec.thermal(0.5, 0.5),
+                               tuple(np.linspace(0.0, 3.0, 301)))
+    with pytest.raises(ComplexSpectrumError) as batched:
+        time_series(problem)
+    with pytest.raises(ComplexSpectrumError) as scalar:
+        scalar_time_series(problem)
+    assert str(batched.value) == str(scalar.value)
+    assert str(batched.value) == "spectrum radicand -3.197e-12 < 0"
+
+
+def test_time_series_validation_count_is_independent_of_grid(monkeypatch):
+    original = gclab.states.validate_covariance
+    calls = []
+
+    def counting(m):
+        calls.append(m)
+        return original(m)
+
+    for name, module in list(sys.modules.items()):
+        if name == "gclab" or name.startswith("gclab."):
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, counting)
+
+    counts = []
+    for grid in ((0.0,), tuple(np.linspace(0.0, 5.0, 1500))):
+        problem = EvolutionProblem(squeezed_thermal_state(0.8, 1.0),
+                                   ChannelSpec.thermal(0.3, 0.7), grid)
+        calls.clear()
+        time_series(problem)
+        counts.append(len(calls))
+    assert counts[0] == counts[1] <= 2

@@ -14,7 +14,10 @@ from gclab import (
     CovarianceMatrix,
     GclabError,
     StandardForm,
+    asymptotic_covariance,
+    evolve,
     log_negativity,
+    metrics_at,
     validate_covariance,
 )
 
@@ -112,3 +115,12 @@ def random_local_symplectic(rng) -> np.ndarray:
 def transformed(m: CovarianceMatrix, s: np.ndarray) -> CovarianceMatrix:
     sym = s @ m.entries @ s.T
     return CovarianceMatrix((sym + sym.T) / 2.0)
+
+
+def scalar_time_series(problem):
+    """The row-by-row reference for `time_series`: evolve, then metrics_at."""
+    sigma0 = problem.initial.to_matrix()
+    sigma_inf = asymptotic_covariance(problem.channel)
+    gamma = problem.channel.gamma
+    return [metrics_at(evolve(sigma0, sigma_inf, gamma, t), t)
+            for t in problem.time_grid]
