@@ -6,7 +6,7 @@ The dictionary between the two is
 
     mu = 1 / sqrt((2N+1)^2 - 4|M|^2)
     cosh 2r = sqrt(1 + 4 mu^2 |M|^2)
-    tan 2phi = -tan(Arg M),  2phi in (-pi/2, pi/2]
+    2phi = -Arg M,  phi in [-pi/2, pi/2]
 
 equivalently N + 1/2 = cosh(2r)/(2 mu) and M = sinh(2r)/(2 mu) e^{-2i phi}.
 """
@@ -36,16 +36,7 @@ def phenomenological_from_nm(N: float, M: complex) -> tuple[float, float, float]
             f"|M|^2 = {absM2:.6g} exceeds N(N+1) = {N * (N + 1.0):.6g}")
     mu = 1.0 / math.sqrt(max((2.0 * N + 1.0) ** 2 - 4.0 * absM2, EPS_PHYS ** 2))
     r = 0.5 * math.acosh(math.sqrt(1.0 + 4.0 * mu * mu * absM2))
-    if M == 0:
-        phi = 0.0
-    else:
-        two_phi = -cmath.phase(M)
-        # reduce mod pi into (-pi/2, pi/2]
-        while two_phi > math.pi / 2.0:
-            two_phi -= math.pi
-        while two_phi <= -math.pi / 2.0:
-            two_phi += math.pi
-        phi = two_phi / 2.0
+    phi = 0.0 if M == 0 else -cmath.phase(M) / 2.0
     return mu, r, phi
 
 
@@ -112,8 +103,8 @@ class ChannelSpec:
     gamma: float = 1.0
 
     def __post_init__(self):
-        if self.gamma <= 0.0:
-            raise DomainError(f"gamma must be > 0, got {self.gamma:.6g}")
+        if not 0.0 < self.gamma < math.inf:
+            raise DomainError(f"gamma must be finite and > 0, got {self.gamma:.6g}")
 
     @classmethod
     def thermal(cls, N1: float, N2: float, gamma: float = 1.0) -> "ChannelSpec":

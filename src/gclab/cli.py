@@ -140,9 +140,16 @@ class RunConfig:
         return EvolutionProblem(self.standard_form(), self.channel(), self.grid())
 
 
+def finite_float(token: str) -> float:
+    x = float(token)
+    if not math.isfinite(x):
+        raise ValueError(f"number must be finite, got {token!r}")
+    return x
+
+
 def _floats(tokens, where):
     try:
-        return [float(t) for t in tokens]
+        return [finite_float(t) for t in tokens]
     except ValueError as exc:
         raise ConfigError(f"{where}: {exc}") from exc
 
@@ -284,17 +291,14 @@ def cmd_sweep(cfg: RunConfig, args, out) -> int:
     if args.tent and "t" in names:
         raise ConfigError("a t axis cannot be combined with --tent")
 
-    if args.tent:
-        header = names + ["t_ent", "method", "residual"]
-    else:
-        header = names + CSV_HEADER.split(",")
-    print(",".join(header), file=out)
-
     grids = [vals for _, vals in axes]
     points = [(v,) for v in grids[0]]
     if len(grids) == 2:
         points = [(v1, v2) for v1 in grids[0] for v2 in grids[1]]
 
+    # every point is computed before anything is printed, so a failing
+    # point leaves no partial CSV behind
+    lines = []
     for values in points:
         local = RunConfig()
         local.state_kind = cfg.state_kind
@@ -311,10 +315,18 @@ def cmd_sweep(cfg: RunConfig, args, out) -> int:
             result = entanglement_time(local.standard_form(), local.channel())
             t_ent = "never" if result.never else fmt(result.t_ent)
             residual = "nan" if result.never else fmt(result.residual)
-            print(",".join(prefix + [t_ent, result.method, residual]), file=out)
+            lines.append(",".join(prefix + [t_ent, result.method, residual]))
         else:
-            for row in time_series(local.problem()):
-                print(",".join(prefix + metrics_line(row).split(",")), file=out)
+            lines.extend(",".join(prefix + metrics_line(row).split(","))
+                         for row in time_series(local.problem()))
+
+    if args.tent:
+        header = names + ["t_ent", "method", "residual"]
+    else:
+        header = names + CSV_HEADER.split(",")
+    print(",".join(header), file=out)
+    for line in lines:
+        print(line, file=out)
     return 0
 
 
@@ -365,8 +377,8 @@ def _add_common(parser):
     parser.add_argument("--bath1", nargs="+", metavar="TOK",
                         help="thermal N | ph MU R [PHI] | nm N REM [IMM]")
     parser.add_argument("--bath2", nargs="+", metavar="TOK")
-    parser.add_argument("--gamma", type=float, default=None)
-    parser.add_argument("--tmax", type=float, default=None)
+    parser.add_argument("--gamma", type=finite_float, default=None)
+    parser.add_argument("--tmax", type=finite_float, default=None)
     parser.add_argument("--points", type=int, default=None)
     parser.add_argument("--times", help="explicit comma-separated time grid")
     parser.add_argument("-o", "--output", default=None)
@@ -388,14 +400,14 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.add_argument("--axis1", required=True, metavar="NAME:START:STOP:COUNT")
     p.add_argument("--axis2", metavar="NAME:START:STOP:COUNT")
-    p.add_argument("--at-time", type=float, default=1.0,
+    p.add_argument("--at-time", type=finite_float, default=1.0,
                    help="evaluation time for metric sweeps (default 1)")
     p.add_argument("--tent", action="store_true",
                    help="sweep the entanglement time instead of metrics")
 
     p = sub.add_parser("figure", help="emit preset curves for reference figure N")
     p.add_argument("number", type=int)
-    p.add_argument("--gamma", type=float, default=1.0)
+    p.add_argument("--gamma", type=finite_float, default=1.0)
     p.add_argument("-o", "--output", default=None,
                    help="output base name (files get _curve<k>.csv suffixes)")
     return parser

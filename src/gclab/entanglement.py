@@ -169,45 +169,11 @@ def separability_quartic(p: InvariantPolynomials) -> SeparabilityQuartic:
 
 
 # ---------------------------------------------------------------------------
-# real-root extraction for the separability quartic (analytic + Newton polish)
+# real-root extraction for the separability quartic (eigenvalues + Newton polish)
 # ---------------------------------------------------------------------------
-
-def _real_cubic_root(b: float, c: float, d: float) -> float:
-    """One real root of x^3 + b x^2 + c x + d."""
-    p = c - b * b / 3.0
-    q = 2.0 * b ** 3 / 27.0 - b * c / 3.0 + d
-    disc = (q / 2.0) ** 2 + (p / 3.0) ** 3
-    if disc >= 0.0:
-        s = math.sqrt(disc)
-        u = math.copysign(abs(-q / 2.0 + s) ** (1.0 / 3.0), -q / 2.0 + s)
-        v = math.copysign(abs(-q / 2.0 - s) ** (1.0 / 3.0), -q / 2.0 - s)
-        x = u + v
-    else:
-        rho = math.sqrt(-(p / 3.0) ** 3)
-        theta = math.acos(max(-1.0, min(1.0, -q / (2.0 * rho))))
-        x = 2.0 * (-p / 3.0) ** 0.5 * math.cos(theta / 3.0)
-    return x - b / 3.0
-
-
-def _quadratic_roots(a: float, b: float, c: float) -> list[float]:
-    if a == 0.0:
-        return [] if b == 0.0 else [-c / b]
-    disc = b * b - 4.0 * a * c
-    if disc < 0.0:
-        return []
-    s = math.sqrt(disc)
-    q = -(b + math.copysign(s, b)) / 2.0
-    roots = [q / a]
-    if q != 0.0:
-        roots.append(c / q)
-    else:
-        roots.append(-b / a - roots[0])
-    return roots
-
 
 def _polish(coeffs, x: float, iters: int = 8) -> float:
     """Newton refinement on the full polynomial (descending coefficients)."""
-    n = len(coeffs) - 1
     for _ in range(iters):
         val = 0.0
         der = 0.0
@@ -226,57 +192,25 @@ def _polish(coeffs, x: float, iters: int = 8) -> float:
 def real_quartic_roots(u: float, v: float, w: float, y: float, z: float) -> list[float]:
     """All real roots of u k^4 + v k^3 + w k^2 + y k + z, Newton-polished.
 
-    Gracefully degrades to lower degrees when leading coefficients vanish
-    relative to the overall coefficient scale.
+    Leading coefficients below 1e-14 of the coefficient scale are dropped.
+    The roots are companion-matrix eigenvalues (np.roots).  A multiple root
+    comes back split into a complex cluster (|Im| ~ 1e-8 for a double root),
+    so |Im| <= 1e-6 max(1, |root|) counts as real; callers re-check roots.
     """
-    coeffs = [u, v, w, y, z]
+    # Python floats throughout: Newton on numpy scalars is about 2.5x slower
+    coeffs = [float(c) for c in (u, v, w, y, z)]
     scale = max(abs(c) for c in coeffs)
     if scale == 0.0:
         return []
     tiny = 1e-14 * scale
     while len(coeffs) > 1 and abs(coeffs[0]) <= tiny:
         coeffs = coeffs[1:]
-    deg = len(coeffs) - 1
-    lead = coeffs[0]
-    mono = [c / lead for c in coeffs]
-
-    if deg == 0:
-        roots = []
-    elif deg == 1:
-        roots = [-mono[1]]
-    elif deg == 2:
-        roots = _quadratic_roots(1.0, mono[1], mono[2])
-    elif deg == 3:
-        r0 = _real_cubic_root(mono[1], mono[2], mono[3])
-        b1 = mono[1] + r0
-        c1 = mono[2] + r0 * b1
-        roots = [r0] + _quadratic_roots(1.0, b1, c1)
-    else:
-        # Ferrari: depress, solve the resolvent cubic, split into quadratics
-        _, b, c, d, e = mono
-        p = c - 3.0 * b * b / 8.0
-        q = b ** 3 / 8.0 - b * c / 2.0 + d
-        r = -3.0 * b ** 4 / 256.0 + b * b * c / 16.0 - b * d / 4.0 + e
-        if abs(q) <= 1e-14 * max(1.0, abs(p), abs(r)):
-            # biquadratic
-            roots = []
-            for s in _quadratic_roots(1.0, p, r):
-                if s >= 0.0:
-                    roots.extend([math.sqrt(s), -math.sqrt(s)])
-        else:
-            m = _real_cubic_root(p, p * p / 4.0 - r, -q * q / 8.0)
-            m = max(m, 0.0)
-            if m <= 0.0:
-                roots = []
-            else:
-                s = math.sqrt(2.0 * m)
-                roots = (_quadratic_roots(1.0, s, p / 2.0 + m - q / (2.0 * s))
-                         + _quadratic_roots(1.0, -s, p / 2.0 + m + q / (2.0 * s)))
-        roots = [x - b / 4.0 for x in roots]
 
     out = []
-    for x in roots:
-        x = _polish(coeffs, x)
+    for root in np.roots(coeffs).tolist():
+        if abs(root.imag) > 1e-6 * max(1.0, abs(root)):
+            continue
+        x = _polish(coeffs, root.real)
         if not any(abs(x - other) <= 1e-12 * max(1.0, abs(x)) for other in out):
             out.append(x)
     return sorted(out)

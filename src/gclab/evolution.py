@@ -74,6 +74,8 @@ class EvolutionProblem:
         grid = tuple(float(t) for t in self.time_grid)
         if not grid:
             raise DomainError("time grid must be nonempty")
+        if not all(math.isfinite(t) for t in grid):
+            raise DomainError("times must be finite")
         if any(t2 <= t1 for t1, t2 in zip(grid, grid[1:])):
             raise DomainError("time grid must be strictly increasing")
         if grid[0] < 0.0:

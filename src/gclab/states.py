@@ -199,11 +199,15 @@ def validate_covariance(m: CovarianceMatrix) -> ValidationReport:
     `n_minus` is the smallest symplectic eigenvalue, taken from the
     invariants Delta and Det sigma (no further decomposition).  Where sigma
     is not positive definite the symplectic spectrum is zero (singular) or
-    not real (indefinite), and `n_minus` is reported as 0.0.
+    not real (indefinite), and `n_minus` is reported as 0.0.  A matrix whose
+    Det sigma is not finite (overflowing or non-finite entries) is not bona
+    fide, with `n_minus` reported as nan.
     """
     _check_symmetric(m)
     e = m.entries
     det = float(np.linalg.det(e))
+    if not math.isfinite(det):
+        return ValidationReport(m.symmetry_residual, math.nan, False)
     margin = float(np.linalg.eigvalsh(e + _HALF_I_OMEGA[len(e)])[0])
     bona_fide = margin >= -EPS_PHYS
     rows = e.tolist()

@@ -139,3 +139,19 @@ def test_equal_baths_flag():
 def test_gamma_must_be_positive():
     with pytest.raises(DomainError):
         ChannelSpec.thermal(0.0, 0.0, gamma=0.0)
+
+
+@pytest.mark.parametrize("gamma", [math.nan, math.inf])
+def test_gamma_must_be_a_positive_number(gamma):
+    with pytest.raises(DomainError):
+        ChannelSpec.thermal(0.5, 0.5, gamma=gamma)
+
+
+@pytest.mark.parametrize("M", [-0.3, 0.3j, -0.3j, -0.2 + 0.1j, -0.2 - 0.1j])
+def test_nm_angle_keeps_the_sign_of_M(M):
+    # M = sinh(2r)/(2 mu) e^{-2i phi} with 2 phi = -Arg M, for every quadrant
+    mu, r, phi = phenomenological_from_nm(0.5, M)
+    assert -math.pi / 2 <= phi <= math.pi / 2
+    N, M2 = nm_from_phenomenological(mu, r, phi)
+    assert N == pytest.approx(0.5, rel=1e-12)
+    assert M2 == pytest.approx(M, rel=1e-12, abs=1e-15)

@@ -8,6 +8,7 @@ import sys
 import pytest
 
 from gclab import (
+    BathSpec,
     ChannelSpec,
     EvolutionProblem,
     squeezed_thermal_state,
@@ -198,6 +199,61 @@ def test_missing_config_file(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["metrics", "--state", "st", "1", "1", "--times", "nan"],
+    ["metrics", "--state", "sf", "nan", "1", "0", "0", "--times", "0"],
+    ["metrics", "--state", "st", "1", "1", "--bath1", "thermal", "inf", "--times", "0"],
+    ["metrics", "--state", "st", "1", "1", "--gamma", "nan"],
+    ["metrics", "--state", "st", "1", "1", "--tmax", "inf"],
+    ["sweep", *RUN, "--axis1", "N1:0:1:2", "--at-time", "nan"],
+])
+def test_non_finite_number_is_config_error(argv, capsys):
+    code, out, _ = run_cli(argv, capsys)
+    assert code == 2
+    assert out == ""
+
+
+def test_non_finite_number_in_config_file_is_config_error(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("state = st 1 1\ngamma = nan\n")
+    code, _, err = run_cli(["metrics", "--config", str(cfg)], capsys)
+    assert code == 2
+    assert "run.cfg:2" in err
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+@pytest.mark.parametrize("command", ["metrics", "tent"])
+def test_overflowing_state_is_unphysical(command, capsys):
+    code, out, err = run_cli([command, "--state", "sf", "1e200", "1e200", "0", "0",
+                              "--times", "0"], capsys)
+    assert code == 3
+    assert "unphysical input" in err
+    assert out == ""
+
+
+def test_nm_bath2_keeps_the_sign_of_M(capsys):
+    base = ["metrics", "--state", "st", "1", "1", "--bath1", "nm", "0.5", "0.3",
+            "--times", "0,1,2", "--bath2", "nm", "0.5"]
+    _, plus, _ = run_cli([*base, "0.3"], capsys)
+    code, minus, _ = run_cli([*base, "-0.3"], capsys)
+    assert code == 0
+    assert minus != plus
+    # Re M < 0 is the angle phi = -pi/2 of the phenomenological triple
+    _, ph, _ = run_cli(["metrics", "--state", "st", "1", "1",
+                        "--bath1", "nm", "0.5", "0.3", "--times", "0,1,2",
+                        "--bath2", "ph", *[fmt(x) for x in
+                                           BathSpec(0.5, -0.3).phenomenological()]],
+                       capsys)
+    assert minus == ph
+
+
+def test_nm_bath1_with_negative_re_m_is_config_error(capsys):
+    code, _, err = run_cli(["metrics", "--state", "st", "1", "1",
+                            "--bath1", "nm", "0.5", "-0.3", "--times", "0"], capsys)
+    assert code == 2
+    assert "reference" in err
+
+
 # ---------------------------------------------------------------------------
 # sweep
 # ---------------------------------------------------------------------------
@@ -238,6 +294,18 @@ def test_sweep_time_axis(capsys):
     # E_N decreases along the channel for thermal baths
     en = [float(line.split(",")[5]) for line in lines[1:]]
     assert all(y <= x + 1e-12 for x, y in zip(en, en[1:]))
+
+
+@pytest.mark.parametrize("extra", [["--tent"], []])
+def test_sweep_prints_nothing_when_a_point_fails(extra, capsys):
+    # N2 = 1 turns the ph 0.5 1 bath unphysical (mu = 1.254) after two
+    # good points
+    code, out, err = run_cli(["sweep", "--state", "st", "1", "1",
+                              "--bath1", "thermal", "0.5", "--bath2", "ph", "0.5", "1",
+                              "--axis1", "N2:2:0:5", *extra], capsys)
+    assert code == 3
+    assert "unphysical input" in err
+    assert out == ""
 
 
 def test_sweep_rejects_bad_axis(capsys):

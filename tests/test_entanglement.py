@@ -3,6 +3,7 @@ closed-form special cases."""
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -150,13 +151,28 @@ def test_quartic_roots_degenerate_degrees():
     assert roots == pytest.approx([2.0], abs=1e-9)
 
 
+def test_quartic_roots_double_root():
+    # (k-0.5)^2 (k^2+1): the double root splits into a near-real complex pair
+    coeffs = np.polymul(np.poly([0.5, 0.5]), [1.0, 0.0, 1.0])
+    roots = real_quartic_roots(*coeffs)
+    assert roots and min(abs(x - 0.5) for x in roots) <= 1e-7
+
+
+def test_quartic_roots_quadruple_root():
+    roots = real_quartic_roots(*np.poly([0.4] * 4))
+    assert roots and min(abs(x - 0.4) for x in roots) <= 1e-3
+
+
 def test_quartic_roots_random_cross_check(rng):
+    # reference: mpmath's Durand-Kerner at extra precision, independent of
+    # the companion-matrix eigenvalues the solver uses
     checked = 0
     while checked < 100:
         coeffs = rng.uniform(-3.0, 3.0, size=5)
         if abs(coeffs[0]) < 1e-2:
             continue
-        ref_all = np.roots(coeffs)
+        ref_all = [complex(r) for r in mpmath.polyroots(
+            coeffs.tolist(), maxsteps=200, extraprec=60)]
         gaps = [abs(x - y) for i, x in enumerate(ref_all) for y in ref_all[i + 1:]]
         if gaps and min(gaps) < 1e-2:
             continue  # near-double roots are legitimately ambiguous

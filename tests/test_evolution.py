@@ -207,6 +207,13 @@ def test_time_grid_validation(rng):
         EvolutionProblem(sf, spec, (-1.0, 0.0))
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_time_grid_must_be_finite(bad):
+    spec = ChannelSpec.thermal(0.5, 0.5)
+    with pytest.raises(DomainError, match="finite"):
+        EvolutionProblem(squeezed_thermal_state(1.0, 1.0), spec, (0.0, bad))
+
+
 def test_standard_form_of_evolved_state_retrievable(rng):
     # evolution leaves the matrix in standard-form-like shape only for
     # thermal baths; generally the derived standard form stays consistent

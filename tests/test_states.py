@@ -109,6 +109,18 @@ def test_validation_never_raises_on_symmetric_input(rng):
                 assert report.n_minus == 0.0
 
 
+@pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value")
+@pytest.mark.parametrize("sf", [
+    StandardForm(1e200, 1e200, 0.0, 0.0),        # Det sigma overflows to inf
+    StandardForm(math.nan, 1.0, 0.0, 0.0),
+])
+def test_non_finite_determinant_is_not_bona_fide(sf):
+    report = validate_covariance(sf.to_matrix())
+    assert not report.bona_fide
+    with pytest.raises(InvalidStateError):
+        require_bona_fide(sf.to_matrix())
+
+
 def test_validation_matches_brute_force(rng):
     # positive definite input: bona fide iff n_minus >= 1/2, n_minus as eig
     samples = [random_standard_form(rng) for _ in range(200)]
