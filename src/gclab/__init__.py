@@ -29,7 +29,6 @@ from .errors import (
     GclabError,
     InvalidStateError,
     MethodDisagreementError,
-    NonPositiveDeterminantError,
     NonSymmetricMatrixError,
     NotEntangledAtStartError,
     NotSymmetricStateError,

@@ -196,6 +196,8 @@ def real_quartic_roots(u: float, v: float, w: float, y: float, z: float) -> list
     The roots are companion-matrix eigenvalues (np.roots).  A multiple root
     comes back split into a complex cluster (|Im| ~ 1e-8 for a double root),
     so |Im| <= 1e-6 max(1, |root|) counts as real; callers re-check roots.
+    The halves of a split double root stay about 3e-9 apart after Newton, so
+    roots within 1e-7 max(1, |root|) are merged into their mean.
     """
     # Python floats throughout: Newton on numpy scalars is about 2.5x slower
     coeffs = [float(c) for c in (u, v, w, y, z)]
@@ -207,13 +209,13 @@ def real_quartic_roots(u: float, v: float, w: float, y: float, z: float) -> list
         coeffs = coeffs[1:]
 
     out = []
-    for root in np.roots(coeffs).tolist():
-        if abs(root.imag) > 1e-6 * max(1.0, abs(root)):
-            continue
-        x = _polish(coeffs, root.real)
-        if not any(abs(x - other) <= 1e-12 * max(1.0, abs(x)) for other in out):
+    for x in sorted(_polish(coeffs, root.real) for root in np.roots(coeffs).tolist()
+                    if abs(root.imag) <= 1e-6 * max(1.0, abs(root))):
+        if out and x - out[-1] <= 1e-7 * max(1.0, abs(x)):
+            out[-1] = 0.5 * (out[-1] + x)
+        else:
             out.append(x)
-    return sorted(out)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -221,19 +223,20 @@ def real_quartic_roots(u: float, v: float, w: float, y: float, z: float) -> list
 # ---------------------------------------------------------------------------
 
 def _nt_minus_fn(sf: StandardForm, channel: ChannelSpec):
-    """Fast nt_minus(k) evaluator on raw entries (no per-call validation)."""
+    """Batched nt_minus(k) evaluator on raw entries (no per-call validation);
+    each value is bitwise the one a single 4x4 `det` gives."""
     s0 = sf.to_matrix().entries
     sinf = asymptotic_covariance(channel).entries
 
-    def nt_minus(k: float) -> float:
-        s = sinf * (1.0 - k) + s0 * k
-        det_a = s[0, 0] * s[1, 1] - s[0, 1] * s[1, 0]
-        det_b = s[2, 2] * s[3, 3] - s[2, 3] * s[3, 2]
-        det_g = s[0, 2] * s[1, 3] - s[0, 3] * s[1, 2]
+    def nt_minus(k: np.ndarray) -> np.ndarray:
+        s = sinf * (1.0 - k[:, None, None]) + s0 * k[:, None, None]
+        det_a = s[:, 0, 0] * s[:, 1, 1] - s[:, 0, 1] * s[:, 1, 0]
+        det_b = s[:, 2, 2] * s[:, 3, 3] - s[:, 2, 3] * s[:, 3, 2]
+        det_g = s[:, 0, 2] * s[:, 1, 3] - s[:, 0, 3] * s[:, 1, 2]
         det_s = np.linalg.det(s)
         delta_t = det_a + det_b - 2.0 * det_g
-        rad = max(delta_t * delta_t - 4.0 * det_s, 0.0)
-        return math.sqrt(max((delta_t - math.sqrt(rad)) / 2.0, 0.0))
+        rad = np.maximum(delta_t * delta_t - 4.0 * det_s, 0.0)
+        return np.sqrt(np.maximum((delta_t - np.sqrt(rad)) / 2.0, 0.0))
 
     return nt_minus
 
@@ -241,30 +244,44 @@ def _nt_minus_fn(sf: StandardForm, channel: ChannelSpec):
 # nt_minus evaluations near a degenerate PPT spectrum carry sqrt-cancellation
 # noise of order 1e-8; a sign change must clear this to count as a crossing
 G_NOISE = 1e-7
+# scan grid from k = 1 down, Gamma t_i = T_HORIZON i / 3000, scanned in chunks
+# of 32, 64, 128, ... points: an early crossing costs one or two batches
+SCAN_K = np.array([math.exp(-T_HORIZON * i / 3000) for i in range(3001)])
+# a batch of 32 costs under twice a batch of one and narrows a bracket 33-fold
+REFINE_POINTS = 32
 
 
-def _bisect_crossing(nt, scan_points: int = 3000) -> float | None:
-    """First k (descending from 1) where nt(k) crosses 1/2; None if no crossing."""
-    g = lambda k: nt(k) - 0.5
-    taus = [T_HORIZON * i / scan_points for i in range(scan_points + 1)]
-    prev_k = 1.0
-    if g(1.0) >= 0.0:
-        return 1.0
-    for tau in taus[1:]:
-        k = math.exp(-tau)
-        if g(k) >= G_NOISE:
-            lo, hi = k, prev_k          # g(lo) > 0, g(hi) < 0
-            for _ in range(80):
-                mid = 0.5 * (lo + hi)
-                if g(mid) >= 0.0:
-                    lo = mid
-                else:
-                    hi = mid
-                if hi - lo < 1e-13:
-                    break
-            return 0.5 * (lo + hi)
-        prev_k = k
-    return None
+def _bisect_crossing(g) -> float | None:
+    """First k (descending from 1) where g = nt_minus - 1/2 (a batched
+    evaluator) turns >= 0; None if g never reaches G_NOISE on the scan grid.
+
+    The bracket runs from the first scan point with g >= G_NOISE up to the
+    nearest earlier one with g <= -G_NOISE (else k = 1).  Local channels cannot
+    create entanglement, so g >= 0 up to rounding past the first crossing, and
+    the bisection on the sign of g cannot leave it.
+    """
+    hi = 1.0
+    start, size = 0, 32
+    while start < SCAN_K.size:
+        ks = SCAN_K[start:start + size]
+        gs = g(ks)
+        if start == 0 and gs[0] >= 0.0:
+            return 1.0
+        hits = np.flatnonzero(gs >= G_NOISE)
+        end = hits[0] if hits.size else ks.size
+        below = np.flatnonzero(gs[:end] <= -G_NOISE)
+        hi = ks[below[-1]] if below.size else hi
+        if hits.size:
+            lo = ks[end]
+            break
+        start, size = start + size, 2 * size
+    else:
+        return None
+    while hi - lo >= 1e-13:
+        pts = np.linspace(hi, lo, REFINE_POINTS + 2)
+        i = int(np.argmax(np.append(g(pts[1:-1]) >= 0.0, True))) + 1
+        lo, hi = pts[i], pts[i - 1]
+    return float(0.5 * (lo + hi))
 
 
 def entanglement_time(sf: StandardForm, channel: ChannelSpec) -> EntanglementTimeResult:
@@ -279,35 +296,32 @@ def entanglement_time(sf: StandardForm, channel: ChannelSpec) -> EntanglementTim
             f"state is separable at t = 0 (nt_minus = {neg0.nt_minus:.6g}, E_N = 0)")
 
     nt = _nt_minus_fn(sf, channel)
+    g = lambda k: nt(k) - 0.5
     quartic = separability_quartic(invariant_polynomials(sf, channel))
     candidates = [k for k in real_quartic_roots(*quartic.coefficients())
                   if K_MIN < k <= 1.0 + 1e-12]
-    k_quartic = None
-    for k in sorted(candidates, reverse=True):
-        k = min(k, 1.0)
-        if abs(nt(k) - 0.5) <= 1e-6:
-            k_quartic = k
-            break
+    # every candidate re-checked in one batch; the largest k that passes wins
+    ks = np.minimum(np.sort(candidates)[::-1], 1.0)
+    passing = [(k, r) for k, r in zip(ks.tolist(), np.abs(g(ks)).tolist()) if r <= 1e-6]
+    k_quartic, res_quartic = passing[0] if passing else (None, None)
 
-    k_bisect = _bisect_crossing(nt)
+    k_bisect = _bisect_crossing(g)
 
     gamma = channel.gamma
     if k_bisect is not None and k_quartic is not None:
         if abs(k_quartic - k_bisect) > K_AGREE:
             raise MethodDisagreementError(
                 f"quartic root k = {k_quartic:.12g} vs bisection k = {k_bisect:.12g}")
-        res = abs(nt(k_quartic) - 0.5)
         return EntanglementTimeResult(-math.log(k_quartic) / gamma, k_quartic,
-                                      "quartic", res)
+                                      "quartic", res_quartic)
     if k_bisect is not None:
-        res = abs(nt(k_bisect) - 0.5)
+        res = float(abs(g(np.array([k_bisect]))[0]))
         return EntanglementTimeResult(-math.log(k_bisect) / gamma, k_bisect,
                                       "bisection", res)
     if k_quartic is not None:
         # nt_minus touches 1/2 without a sign change
-        res = abs(nt(k_quartic) - 0.5)
         return EntanglementTimeResult(-math.log(k_quartic) / gamma, k_quartic,
-                                      "quartic", res, tangent=True)
+                                      "quartic", res_quartic, tangent=True)
     return EntanglementTimeResult(NEVER, 0.0, "bisection", math.nan)
 
 

@@ -9,10 +9,6 @@ class NonSymmetricMatrixError(GclabError):
     """Covariance matrix is not symmetric within tolerance."""
 
 
-class NonPositiveDeterminantError(GclabError):
-    """Covariance matrix has a non-positive determinant."""
-
-
 class ComplexSpectrumError(GclabError):
     """Symplectic-spectrum radicand is negative beyond tolerance."""
 

@@ -36,9 +36,9 @@ def evolve(sigma0: CovarianceMatrix, sigma_inf: CovarianceMatrix,
     """Closed-form channel map at time t."""
     require_bona_fide(sigma0)
     require_bona_fide(sigma_inf)
-    if gamma <= 0.0:
-        raise DomainError(f"gamma must be > 0, got {gamma:.6g}")
-    if t < 0.0:
+    if not 0.0 < gamma < math.inf:
+        raise DomainError(f"gamma must be finite and > 0, got {gamma:.6g}")
+    if not t >= 0.0:
         raise DomainError(f"t must be >= 0, got {t:.6g}")
     k = math.exp(-gamma * t)
     return CovarianceMatrix(sigma_inf.entries * (1.0 - k) + sigma0.entries * k)

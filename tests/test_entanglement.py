@@ -26,7 +26,9 @@ from gclab import (
     squeezed_thermal_tent,
     symmetric_tent_bounds,
 )
+from gclab import entanglement
 from gclab.channels import BathSpec
+from gclab.cli import main
 from util import random_channel, random_standard_form
 
 POINT = StandardForm(2.0, 1.0, 1.0, -1.0)
@@ -152,10 +154,11 @@ def test_quartic_roots_degenerate_degrees():
 
 
 def test_quartic_roots_double_root():
-    # (k-0.5)^2 (k^2+1): the double root splits into a near-real complex pair
+    # (k-0.5)^2 (k^2+1): the double root splits into a near-real pair about
+    # 3e-9 apart; the halves come back merged into one root
     coeffs = np.polymul(np.poly([0.5, 0.5]), [1.0, 0.0, 1.0])
     roots = real_quartic_roots(*coeffs)
-    assert roots and min(abs(x - 0.5) for x in roots) <= 1e-7
+    assert len(roots) == 1 and abs(roots[0] - 0.5) <= 1e-7
 
 
 def test_quartic_roots_quadruple_root():
@@ -240,6 +243,81 @@ def test_random_configurations_cross_validate(rng):
                        spec.gamma, result.t_ent)
         assert log_negativity(sigma).nt_minus == pytest.approx(0.5, abs=1e-6)
     assert finite >= 30
+
+
+def test_scan_grid_matches_scalar_exp():
+    assert entanglement.SCAN_K.shape == (3001,)
+    for i, k in enumerate(entanglement.SCAN_K.tolist()):
+        assert k == math.exp(-60.0 * i / 3000)
+
+
+def test_bracket_miss_repro_exits_zero(capsys):
+    # the scan point before this crossing reads g in (0, G_NOISE): a bracket
+    # taken from neighbouring scan points missed the crossing
+    code = main(["tent", "--state", "st", "0.987353", "0.370801",
+                 "--bath1", "thermal", "1.49575", "--bath2", "thermal", "0.180733",
+                 "--gamma", "1.7728"])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert "method=quartic" in out
+
+
+def test_near_pure_thermal_baths_methods_agree():
+    # crossings late in nearly pure baths: several of these queries used to
+    # raise MethodDisagreementError
+    rng = np.random.default_rng(7)
+    checked = 0
+    while checked < 300:
+        mu, r = rng.uniform(0.3, 1.0), rng.uniform(0.1, 1.5)
+        if math.sqrt(mu) <= math.exp(-2.0 * r):
+            continue  # separable at t = 0
+        checked += 1
+        sf = squeezed_thermal_state(mu, r)
+        n1, n2 = 10.0 ** rng.uniform(-5.0, -3.0, size=2)
+        spec = ChannelSpec.thermal(n1, n2, gamma=rng.uniform(0.5, 2.0))
+        result = entanglement_time(sf, spec)
+        assert not result.never and result.method == "quartic"
+        assert result.residual <= 1e-6
+
+
+def test_never_query_scans_every_grid_point_once(monkeypatch):
+    seen = []
+    make = entanglement._nt_minus_fn
+
+    def recording_fn(sf, channel):
+        nt = make(sf, channel)
+
+        def record(k):
+            seen.append(k.copy())
+            return nt(k)
+        return record
+
+    monkeypatch.setattr(entanglement, "_nt_minus_fn", recording_fn)
+    result = entanglement_time(squeezed_thermal_state(1.0, 1.0),
+                               ChannelSpec.thermal(0.0, 0.0))
+    assert result.never
+    # one candidate re-check, then the scan chunks through k = exp(-60)
+    scanned = np.concatenate(seen[1:])
+    assert np.array_equal(scanned, entanglement.SCAN_K)
+    assert [len(k) for k in seen[1:]] == [32, 64, 128, 256, 512, 1024, 985]
+
+
+@pytest.mark.parametrize("index", [1, 31, 32, 95, 96, 223, 224, 2015, 2016, 3000])
+def test_scan_finds_a_crossing_at_each_chunk_edge(index):
+    # synthetic g with its first sign change just above scan point `index`
+    k_cross = entanglement.SCAN_K[index]
+    g = lambda k: np.where(k > k_cross, -1.0, 1.0)
+    k = entanglement._bisect_crossing(g)
+    assert k is not None and abs(k - k_cross) <= 1e-13
+
+
+def test_scan_bracket_skips_points_inside_the_noise_gate():
+    # g just past the crossing at scan point 40 stays below G_NOISE until
+    # point 42: the bracket must open at point 39, where g <= -G_NOISE
+    k_cross = 0.5 * (entanglement.SCAN_K[39] + entanglement.SCAN_K[40])
+    edge = entanglement.SCAN_K[42]
+    g = lambda k: np.where(k > k_cross, -1.0, np.where(k > edge, 1e-9, 1.0))
+    assert abs(entanglement._bisect_crossing(g) - k_cross) <= 1e-13
 
 
 # ---------------------------------------------------------------------------

@@ -64,6 +64,9 @@ def test_evolve_argument_validation(rng):
         evolve(sf.to_matrix(), sigma_inf, 0.0, 1.0)
     with pytest.raises(DomainError):
         evolve(sf.to_matrix(), sigma_inf, 1.0, -0.1)
+    for gamma, t in ((math.nan, 1.0), (math.inf, 1.0), (1.0, math.nan)):
+        with pytest.raises(DomainError):
+            evolve(sf.to_matrix(), sigma_inf, gamma, t)
 
 
 def test_semigroup_property(rng):
