@@ -78,10 +78,6 @@ class BathSpec:
     def phenomenological(self) -> tuple[float, float, float]:
         return phenomenological_from_nm(self.N, self.M)
 
-    @property
-    def mu(self) -> float:
-        return self.phenomenological()[0]
-
     def block(self) -> np.ndarray:
         """Asymptotic 2x2 covariance block of this bath."""
         return np.array([

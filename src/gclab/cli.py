@@ -10,10 +10,11 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .channels import BathSpec, ChannelSpec, asymptotic_covariance
+from .channels import BathSpec, ChannelSpec
 from .entanglement import entanglement_time
 from .errors import (
     DomainError,
@@ -29,8 +30,12 @@ from .states import StandardForm, require_bona_fide, squeezed_thermal_state
 CSV_HEADER = ("t,purity,von_neumann_entropy,mutual_information,"
               "log_negativity,ntilde_minus,n_minus,n_plus,separable")
 
-SWEEP_AXES = ("N1", "N2", "r1", "r2", "phi2", "mu1", "mu2",
-              "r_state", "mu_state", "t")
+# sweep axis -> (RunConfig field, entry of that tuple); bath triples are (mu, r, phi)
+AXIS_FIELDS = {"N1": ("bath1", 0), "N2": ("bath2", 0), "r1": ("bath1", 1),
+               "r2": ("bath2", 1), "phi2": ("bath2", 2), "mu1": ("bath1", 0),
+               "mu2": ("bath2", 0), "r_state": ("state_params", 1),
+               "mu_state": ("state_params", 0)}
+SWEEP_AXES = (*AXIS_FIELDS, "t")
 
 
 class ConfigError(Exception):
@@ -54,82 +59,82 @@ def metrics_line(row: MetricsRow) -> str:
 # configuration
 # ---------------------------------------------------------------------------
 
+# state kind as written -> kind stored in RunConfig
+STATE_ALIASES = {"sf": "sf", "standard_form": "sf",
+                 "st": "squeezed_thermal", "squeezed_thermal": "squeezed_thermal"}
+# stored state kind -> (constructor, parameter count, usage)
+STATES = {"sf": (StandardForm, 4, "standard_form needs a b c1 c2"),
+          "squeezed_thermal": (squeezed_thermal_state, 2, "squeezed_thermal needs mu r")}
+
+# bath kind -> (parameter counts, usage)
+BATH_KINDS = {"thermal": ((1,), "thermal bath needs N"),
+              "ph": ((2, 3), "ph bath needs mu r [phi]"),
+              "nm": ((2, 3), "nm bath needs N ReM [ImM]")}
+
+
+@dataclass(frozen=True)
 class RunConfig:
-    """Flat run description: state, two baths, gamma and the time grid."""
+    """Immutable run description: state, two baths, gamma and the time grid.
+    Each bath is the (mu, r, phi) triple of its asymptotic squeezed thermal state."""
 
-    def __init__(self):
-        self.state_kind = None          # "sf" | "squeezed_thermal"
-        self.state_params = None
-        self.baths = [
-            {"mu": 1.0, "r": 0.0, "phi": 0.0},
-            {"mu": 1.0, "r": 0.0, "phi": 0.0},
-        ]
-        self.gamma = 1.0
-        self.tmax = 3.0
-        self.points = 301
-        self.times = None               # explicit grid overrides tmax/points
+    state_kind: str | None = None                 # a key of STATES
+    state_params: tuple[float, ...] | None = None
+    bath1: tuple[float, float, float] = (1.0, 0.0, 0.0)
+    bath2: tuple[float, float, float] = (1.0, 0.0, 0.0)
+    gamma: float = 1.0
+    tmax: float = 3.0
+    points: int = 301
+    times: tuple[float, ...] | None = None        # explicit grid overrides tmax/points
 
-    def set_state(self, tokens, where):
+    def set_state(self, tokens, where) -> RunConfig:
         if not tokens:
             raise ConfigError(f"{where}: empty state specification")
-        kind, rest = tokens[0], tokens[1:]
-        vals = _floats(rest, where)
-        if kind in ("sf", "standard_form"):
-            if len(vals) != 4:
-                raise ConfigError(f"{where}: standard_form needs a b c1 c2")
-            self.state_kind, self.state_params = "sf", tuple(vals)
-        elif kind in ("st", "squeezed_thermal"):
-            if len(vals) != 2:
-                raise ConfigError(f"{where}: squeezed_thermal needs mu r")
-            self.state_kind, self.state_params = "squeezed_thermal", tuple(vals)
-        else:
-            raise ConfigError(f"{where}: unknown state kind {kind!r}")
+        vals = _floats(tokens[1:], where)
+        kind = STATE_ALIASES.get(tokens[0])
+        if kind is None:
+            raise ConfigError(f"{where}: unknown state kind {tokens[0]!r}")
+        _, count, usage = STATES[kind]
+        if len(vals) != count:
+            raise ConfigError(f"{where}: {usage}")
+        return replace(self, state_kind=kind, state_params=tuple(vals))
 
-    def set_bath(self, index, tokens, where):
+    def set_bath(self, field, tokens, where) -> RunConfig:
+        """A new config with bath `field` ("bath1" or "bath2") set from tokens."""
         if not tokens:
             raise ConfigError(f"{where}: empty bath specification")
         kind, rest = tokens[0], tokens[1:]
         vals = _floats(rest, where)
+        if kind not in BATH_KINDS:
+            raise ConfigError(f"{where}: unknown bath kind {kind!r}")
+        counts, usage = BATH_KINDS[kind]
+        if len(vals) not in counts:
+            raise ConfigError(f"{where}: {usage}")
+        third = vals[2] if len(vals) == 3 else 0.0
         if kind == "thermal":
-            if len(vals) != 1:
-                raise ConfigError(f"{where}: thermal bath needs N")
-            N = vals[0]
-            self.baths[index] = {"mu": 1.0 / (2.0 * N + 1.0), "r": 0.0, "phi": 0.0}
+            bath = (1.0 / (2.0 * vals[0] + 1.0), 0.0, 0.0)
         elif kind == "ph":
-            if len(vals) not in (2, 3):
-                raise ConfigError(f"{where}: ph bath needs mu r [phi]")
-            mu, r = vals[0], vals[1]
-            phi = vals[2] if len(vals) == 3 else 0.0
-            self.baths[index] = {"mu": mu, "r": r, "phi": phi}
-        elif kind == "nm":
-            if len(vals) not in (2, 3):
-                raise ConfigError(f"{where}: nm bath needs N ReM [ImM]")
-            M = complex(vals[1], vals[2] if len(vals) == 3 else 0.0)
+            bath = (vals[0], vals[1], third)
+        else:
             try:
-                mu, r, phi = BathSpec(N=vals[0], M=M).phenomenological()
+                bath = BathSpec(N=vals[0], M=complex(vals[1], third)).phenomenological()
             except GclabError as exc:
                 raise ConfigError(f"{where}: {exc}") from exc
-            self.baths[index] = {"mu": mu, "r": r, "phi": phi}
-        else:
-            raise ConfigError(f"{where}: unknown bath kind {kind!r}")
+        return replace(self, **{field: bath})
 
     def standard_form(self) -> StandardForm:
         if self.state_kind is None:
             raise ConfigError("no initial state configured (use --state or a config file)")
-        if self.state_kind == "sf":
-            return StandardForm(*self.state_params)
-        return squeezed_thermal_state(*self.state_params)
+        return STATES[self.state_kind][0](*self.state_params)
 
     def channel(self) -> ChannelSpec:
-        b1, b2 = self.baths
-        if abs(b1["phi"]) > 1e-12:
+        (mu1, r1, phi1), (mu2, r2, phi2) = self.bath1, self.bath2
+        if abs(phi1) > 1e-12:
             raise ConfigError("bath 1 squeezing angle must be 0 (phase reference choice)")
-        return ChannelSpec.from_phenomenological(
-            b1["mu"], b1["r"], b2["mu"], b2["r"], b2["phi"], self.gamma)
+        return ChannelSpec.from_phenomenological(mu1, r1, mu2, r2, phi2, self.gamma)
 
     def grid(self) -> tuple[float, ...]:
         if self.times is not None:
-            return tuple(self.times)
+            return self.times
         if self.points < 1:
             raise ConfigError("points must be >= 1")
         if self.points == 1:
@@ -154,7 +159,13 @@ def _floats(tokens, where):
         raise ConfigError(f"{where}: {exc}") from exc
 
 
-def load_config_file(cfg: RunConfig, path: str) -> None:
+def _times(text: str, where) -> tuple[float, ...]:
+    """An explicit time grid, comma- or space-separated."""
+    return tuple(_floats(text.replace(",", " ").split(), where))
+
+
+def load_config_file(cfg: RunConfig, path: str) -> RunConfig:
+    """cfg with the `key = value` lines of the file applied in order."""
     try:
         with open(path) as fh:
             lines = fh.readlines()
@@ -168,43 +179,39 @@ def load_config_file(cfg: RunConfig, path: str) -> None:
             raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
         key, value = (part.strip() for part in line.split("=", 1))
         where = f"{path}:{lineno}"
-        tokens = value.split()
         if key == "state":
-            cfg.set_state(tokens, where)
+            cfg = cfg.set_state(value.split(), where)
         elif key in ("bath1", "bath2"):
-            cfg.set_bath(int(key[-1]) - 1, tokens, where)
-        elif key == "gamma":
-            cfg.gamma = _floats([value], where)[0]
-        elif key == "tmax":
-            cfg.tmax = _floats([value], where)[0]
+            cfg = cfg.set_bath(key, value.split(), where)
+        elif key in ("gamma", "tmax"):
+            cfg = replace(cfg, **{key: _floats([value], where)[0]})
         elif key == "points":
             try:
-                cfg.points = int(value)
+                cfg = replace(cfg, points=int(value))
             except ValueError as exc:
                 raise ConfigError(f"{where}: {exc}") from exc
         elif key == "times":
-            cfg.times = _floats(value.replace(",", " ").split(), where)
+            cfg = replace(cfg, times=_times(value, where))
         else:
             raise ConfigError(f"{where}: unknown key {key!r}")
+    return cfg
 
 
-def apply_flags(cfg: RunConfig, args) -> None:
+def apply_flags(cfg: RunConfig, args) -> RunConfig:
+    """cfg with the config file, then the flags that override it, applied."""
     if args.config:
-        load_config_file(cfg, args.config)
+        cfg = load_config_file(cfg, args.config)
     if args.state:
-        cfg.set_state(args.state, "--state")
+        cfg = cfg.set_state(args.state, "--state")
     if args.bath1:
-        cfg.set_bath(0, args.bath1, "--bath1")
+        cfg = cfg.set_bath("bath1", args.bath1, "--bath1")
     if args.bath2:
-        cfg.set_bath(1, args.bath2, "--bath2")
-    if args.gamma is not None:
-        cfg.gamma = args.gamma
-    if args.tmax is not None:
-        cfg.tmax = args.tmax
-    if args.points is not None:
-        cfg.points = args.points
-    if getattr(args, "times", None):
-        cfg.times = _floats(args.times.replace(",", " ").split(), "--times")
+        cfg = cfg.set_bath("bath2", args.bath2, "--bath2")
+    overrides = {key: getattr(args, key) for key in ("gamma", "tmax", "points")
+                 if getattr(args, key) is not None}
+    if args.times:
+        overrides["times"] = _times(args.times, "--times")
+    return replace(cfg, **overrides)
 
 
 # ---------------------------------------------------------------------------
@@ -257,30 +264,30 @@ def parse_axis(spec: str) -> tuple[str, np.ndarray]:
     return name, np.linspace(start, stop, count)
 
 
-def apply_axis(cfg: RunConfig, name: str, value: float) -> None:
+def apply_axis(cfg: RunConfig, name: str, value: float) -> RunConfig:
+    """A new config with sweep axis `name` (checked by parse_axis) at value."""
+    if name == "t":
+        return replace(cfg, times=(value,))
+    field, i = AXIS_FIELDS[name]
+    if field == "state_params" and cfg.state_kind != "squeezed_thermal":
+        raise ConfigError(f"{name} sweep needs a squeezed_thermal state")
+    entries = getattr(cfg, field)
     if name in ("N1", "N2"):
-        i = int(name[1]) - 1
-        bath = cfg.baths[i]
         # keep the squeezing, reset the purity so that N matches
-        bath["mu"] = math.cosh(2.0 * bath["r"]) / (2.0 * value + 1.0)
-    elif name in ("mu1", "mu2"):
-        cfg.baths[int(name[2]) - 1]["mu"] = value
-    elif name in ("r1", "r2"):
-        cfg.baths[int(name[1]) - 1]["r"] = value
-    elif name == "phi2":
-        cfg.baths[1]["phi"] = value
-    elif name == "r_state":
-        if cfg.state_kind != "squeezed_thermal":
-            raise ConfigError("r_state sweep needs a squeezed_thermal state")
-        cfg.state_params = (cfg.state_params[0], value)
-    elif name == "mu_state":
-        if cfg.state_kind != "squeezed_thermal":
-            raise ConfigError("mu_state sweep needs a squeezed_thermal state")
-        cfg.state_params = (value, cfg.state_params[1])
-    elif name == "t":
-        cfg.times = [value]
-    else:
-        raise ConfigError(f"unknown axis {name!r}")
+        value = math.cosh(2.0 * entries[1]) / (2.0 * value + 1.0)
+    return replace(cfg, **{field: entries[:i] + (value,) + entries[i + 1:]})
+
+
+def _sweep_points(cfg: RunConfig, axes):
+    """(values, config) of every grid point in row order, made as it is
+    needed.  A later axis reads what the earlier one set."""
+    if not axes:
+        yield (), cfg
+        return
+    (name, grid), rest = axes[0], axes[1:]
+    for value in grid:
+        for values, point in _sweep_points(apply_axis(cfg, name, value), rest):
+            yield (value, *values), point
 
 
 def cmd_sweep(cfg: RunConfig, args, out) -> int:
@@ -290,59 +297,36 @@ def cmd_sweep(cfg: RunConfig, args, out) -> int:
     names = [name for name, _ in axes]
     if args.tent and "t" in names:
         raise ConfigError("a t axis cannot be combined with --tent")
-
-    grids = [vals for _, vals in axes]
-    points = [(v,) for v in grids[0]]
-    if len(grids) == 2:
-        points = [(v1, v2) for v1 in grids[0] for v2 in grids[1]]
+    base = replace(cfg, times=None if "t" in names else (args.at_time,))
 
     # every point is computed before anything is printed, so a failing
     # point leaves no partial CSV behind
     lines = []
-    for values in points:
-        local = RunConfig()
-        local.state_kind = cfg.state_kind
-        local.state_params = cfg.state_params
-        local.baths = [dict(b) for b in cfg.baths]
-        local.gamma = cfg.gamma
-        local.tmax = cfg.tmax
-        local.points = cfg.points
-        local.times = None if "t" in names else [args.at_time]
-        for name, value in zip(names, values):
-            apply_axis(local, name, value)
-        prefix = [fmt(v) for v in values]
+    for values, point in _sweep_points(base, axes):
+        prefix = ",".join(fmt(v) for v in values)
         if args.tent:
-            result = entanglement_time(local.standard_form(), local.channel())
+            result = entanglement_time(point.standard_form(), point.channel())
             t_ent = "never" if result.never else fmt(result.t_ent)
             residual = "nan" if result.never else fmt(result.residual)
-            lines.append(",".join(prefix + [t_ent, result.method, residual]))
+            lines.append(f"{prefix},{t_ent},{result.method},{residual}")
         else:
-            lines.extend(",".join(prefix + metrics_line(row).split(","))
-                         for row in time_series(local.problem()))
+            lines.extend(prefix + "," + metrics_line(row)
+                         for row in time_series(point.problem()))
 
-    if args.tent:
-        header = names + ["t_ent", "method", "residual"]
-    else:
-        header = names + CSV_HEADER.split(",")
-    print(",".join(header), file=out)
+    columns = ["t_ent", "method", "residual"] if args.tent else [CSV_HEADER]
+    print(",".join(names + columns), file=out)
     for line in lines:
         print(line, file=out)
     return 0
 
 
 def curve_config(preset: CurvePreset, gamma: float) -> RunConfig:
-    cfg = RunConfig()
-    kind = "sf" if preset.state_kind == "sf" else "squeezed_thermal"
-    cfg.state_kind = kind
-    cfg.state_params = tuple(float(p) for p in preset.state_params)
-    cfg.baths = [
-        {"mu": preset.mu1, "r": preset.r1, "phi": 0.0},
-        {"mu": preset.mu2, "r": preset.r2, "phi": preset.phi2},
-    ]
-    cfg.gamma = gamma
-    cfg.tmax = FIGURE_TMAX
-    cfg.points = FIGURE_POINTS
-    return cfg
+    return RunConfig(
+        state_kind=preset.state_kind,
+        state_params=tuple(float(p) for p in preset.state_params),
+        bath1=(preset.mu1, preset.r1, 0.0),
+        bath2=(preset.mu2, preset.r2, preset.phi2),
+        gamma=gamma, tmax=FIGURE_TMAX, points=FIGURE_POINTS)
 
 
 def cmd_figure(number: int, gamma: float, out_base: str | None) -> int:
@@ -413,10 +397,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# built once: parse_args reads the parser and leaves it unchanged
+PARSER = build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = PARSER.parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
 
@@ -424,20 +411,17 @@ def main(argv=None) -> int:
         if args.command == "figure":
             return cmd_figure(args.number, args.gamma, args.output)
 
-        cfg = RunConfig()
-        apply_flags(cfg, args)
+        cfg = apply_flags(RunConfig(), args)
         out, close = _open_output(args.output)
         try:
             if args.command == "metrics":
                 return cmd_metrics(cfg, out)
             if args.command == "tent":
                 return cmd_tent(cfg, out)
-            if args.command == "sweep":
-                return cmd_sweep(cfg, args, out)
+            return cmd_sweep(cfg, args, out)
         finally:
             if close:
                 out.close()
-        parser.error(f"unknown command {args.command!r}")
     except ConfigError as exc:
         print(f"gclab: config error: {exc}", file=sys.stderr)
         return 2
@@ -450,7 +434,6 @@ def main(argv=None) -> int:
     except GclabError as exc:
         print(f"gclab: {exc}", file=sys.stderr)
         return 3
-    return 0
 
 
 if __name__ == "__main__":

@@ -190,14 +190,19 @@ def _polish(coeffs, x: float, iters: int = 8) -> float:
 
 
 def real_quartic_roots(u: float, v: float, w: float, y: float, z: float) -> list[float]:
-    """All real roots of u k^4 + v k^3 + w k^2 + y k + z, Newton-polished.
+    """All real roots of u k^4 + v k^3 + w k^2 + y k + z.
 
     Leading coefficients below 1e-14 of the coefficient scale are dropped.
     The roots are companion-matrix eigenvalues (np.roots).  A multiple root
-    comes back split into a complex cluster (|Im| ~ 1e-8 for a double root),
-    so |Im| <= 1e-6 max(1, |root|) counts as real; callers re-check roots.
-    The halves of a split double root stay about 3e-9 apart after Newton, so
-    roots within 1e-7 max(1, |root|) are merged into their mean.
+    comes back split, into nearby real eigenvalues or into a near-real
+    complex cluster (|Im| ~ 1e-8 for a double root), so |Im| <= 1e-6
+    max(1, |root|) counts as real; callers re-check roots.  Only eigenvalues
+    with Im exactly 0 are Newton-polished: at a complex cluster the
+    polynomial and its derivative are both rounding noise, so Newton can move
+    the root by 1e-4 (0.3 of (k-0.3)^2 (k-0.7)^2), and the cluster's real
+    part is kept instead.  Real halves of a split double root stay about
+    3e-9 apart after Newton, so roots within 1e-7 max(1, |root|) are merged
+    into their mean.
     """
     # Python floats throughout: Newton on numpy scalars is about 2.5x slower
     coeffs = [float(c) for c in (u, v, w, y, z)]
@@ -209,7 +214,8 @@ def real_quartic_roots(u: float, v: float, w: float, y: float, z: float) -> list
         coeffs = coeffs[1:]
 
     out = []
-    for x in sorted(_polish(coeffs, root.real) for root in np.roots(coeffs).tolist()
+    for x in sorted(_polish(coeffs, root.real) if root.imag == 0.0 else root.real
+                    for root in np.roots(coeffs).tolist()
                     if abs(root.imag) <= 1e-6 * max(1.0, abs(root))):
         if out and x - out[-1] <= 1e-7 * max(1.0, abs(x)):
             out[-1] = 0.5 * (out[-1] + x)

@@ -98,10 +98,6 @@ class StandardForm:
             [0.0, c2, 0.0, b],
         ]))
 
-    @property
-    def symmetric(self) -> bool:
-        return abs(self.a - self.b) <= 1e-9
-
 
 @dataclass(frozen=True)
 class SymplecticSpectrum:

@@ -5,6 +5,7 @@ import math
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from gclab import (
@@ -15,7 +16,7 @@ from gclab import (
     time_series,
 )
 import gclab.cli
-from gclab.cli import CSV_HEADER, fmt, main, metrics_line
+from gclab.cli import CSV_HEADER, SWEEP_AXES, RunConfig, apply_axis, fmt, main, metrics_line
 from util import scalar_time_series
 
 RUN = ["--state", "st", "1", "1", "--bath1", "thermal", "0.5",
@@ -308,6 +309,96 @@ def test_sweep_prints_nothing_when_a_point_fails(extra, capsys):
     assert out == ""
 
 
+# base point of the sweep equivalence tests: st (mu, r), ph baths (mu, r, phi)
+SWEEP_STATE = (0.8, 0.7)
+SWEEP_BATHS = ((0.5, 0.3, 0.0), (0.6, 0.3, 0.2))
+SWEEP_RANGES = {"N1": "0.2:1:3", "N2": "0.2:1:3", "r1": "0:0.5:3", "r2": "0:0.5:3",
+                "phi2": "-1:1:3", "mu1": "0.3:0.9:3", "mu2": "0.3:0.9:3",
+                "r_state": "0.5:1:3", "mu_state": "0.6:1:3", "t": "0:2:3"}
+
+
+def _flags(state, baths):
+    return ["--state", "st", *map(repr, state),
+            "--bath1", "ph", *map(repr, baths[0]), "--bath2", "ph", *map(repr, baths[1])]
+
+
+def _axis_values(spec):
+    start, stop, count = spec.split(":")
+    return [float(v) for v in np.linspace(float(start), float(stop), int(count))]
+
+
+def _single_command(point):
+    """Flags and time of one sweep point, given as [(axis, value), ...] in
+    the order the axes apply."""
+    state, baths, t = list(SWEEP_STATE), [list(b) for b in SWEEP_BATHS], 0.7
+    for name, v in point:
+        if name == "t":
+            t = v
+        elif name == "mu_state":
+            state[0] = v
+        elif name == "r_state":
+            state[1] = v
+        else:
+            bath = baths[int(name[-1]) - 1]
+            if name[0] == "N":      # mu = cosh 2r / (2N+1) at the bath's current r
+                bath[0] = math.cosh(2.0 * bath[1]) / (2.0 * v + 1.0)
+            else:
+                bath[{"mu": 0, "r": 1, "phi": 2}[name[:-1]]] = v
+    return _flags(state, baths), t
+
+
+def _check_sweep_rows(axes, capsys, tent):
+    """Every row of the sweep equals the single command at its point."""
+    argv = ["sweep", *_flags(SWEEP_STATE, SWEEP_BATHS), "--at-time", "0.7"]
+    for flag, (name, spec) in zip(("--axis1", "--axis2"), axes):
+        argv += [flag, f"{name}:{spec}"]
+    code, out, _ = run_cli(argv + ["--tent"] * tent, capsys)
+    assert code == 0
+    rows = out.splitlines()[1:]
+    grids = [[(name, v) for v in _axis_values(spec)] for name, spec in axes]
+    points = [[p] for p in grids[0]]
+    if len(grids) == 2:
+        points = [[p, q] for p in grids[0] for q in grids[1]]
+    assert len(rows) == len(points)
+    for row, point in zip(rows, points):
+        flags, t = _single_command(point)
+        prefix = ",".join(fmt(v) for _, v in point)
+        if tent:
+            code, single, _ = run_cli(["tent", *flags], capsys)
+            fields = dict(item.split("=") for item in single.split())
+            expected = f"{prefix},{fields['t_ent']},{fields['method']},{fields['residual']}"
+        else:
+            code, single, _ = run_cli(["metrics", *flags, "--times", repr(t)], capsys)
+            expected = prefix + "," + single.splitlines()[1]
+        assert code == 0
+        assert row == expected
+
+
+@pytest.mark.parametrize("name", SWEEP_AXES)
+def test_sweep_rows_equal_single_commands(name, capsys):
+    _check_sweep_rows([(name, SWEEP_RANGES[name])], capsys, tent=False)
+    if name != "t":
+        _check_sweep_rows([(name, SWEEP_RANGES[name])], capsys, tent=True)
+
+
+def test_sweep_axes_apply_in_order(capsys):
+    # N1 resets mu1 from the r1 that the first axis has just set
+    _check_sweep_rows([("r1", "0:0.5:3"), ("N1", "0.4:1:2")], capsys, tent=False)
+    _check_sweep_rows([("r1", "0:0.5:3"), ("N1", "0.4:1:2")], capsys, tent=True)
+
+
+def test_apply_axis_leaves_its_input_unchanged():
+    def base():
+        return RunConfig(state_kind="squeezed_thermal", state_params=SWEEP_STATE,
+                         bath1=SWEEP_BATHS[0], bath2=SWEEP_BATHS[1])
+
+    cfg = base()
+    for name in SWEEP_AXES:
+        moved = apply_axis(cfg, name, 0.25)
+        assert cfg == base()
+        assert moved != cfg
+
+
 def test_sweep_rejects_bad_axis(capsys):
     code, _, err = run_cli(["sweep", *RUN, "--axis1", "bogus:0:1:5"], capsys)
     assert code == 2
@@ -348,6 +439,16 @@ def test_figure_six_skips_invalid_state(tmp_path, monkeypatch, capsys):
 def test_figure_invalid_number(capsys):
     code, _, err = run_cli(["figure", "9"], capsys)
     assert code == 2
+
+
+def test_main_does_not_rebuild_the_parser(monkeypatch, capsys):
+    def fail():
+        raise AssertionError("parser rebuilt")
+
+    monkeypatch.setattr(gclab.cli, "build_parser", fail)
+    code, out, _ = run_cli(["tent", *RUN], capsys)
+    assert code == 0
+    assert out.startswith("t_ent=")
 
 
 def test_console_script_entry_point():

@@ -161,6 +161,14 @@ def test_quartic_roots_double_root():
     assert len(roots) == 1 and abs(roots[0] - 0.5) <= 1e-7
 
 
+def test_quartic_roots_two_double_roots_are_not_polished_away():
+    # np.roots returns each double root as a near-real complex pair; Newton
+    # on such a pair walked 0.3 to 0.300113 and 0.7 to 0.699638
+    roots = real_quartic_roots(*np.poly([0.3, 0.3, 0.7, 0.7]))
+    assert len(roots) == 2
+    assert abs(roots[0] - 0.3) <= 1e-12 and abs(roots[1] - 0.7) <= 1e-12
+
+
 def test_quartic_roots_quadruple_root():
     roots = real_quartic_roots(*np.poly([0.4] * 4))
     assert roots and min(abs(x - 0.4) for x in roots) <= 1e-3
