@@ -28,16 +28,15 @@ EPS_EQUAL = 1e-12
 
 def phenomenological_from_nm(N: float, M: complex) -> tuple[float, float, float]:
     """Map (N, M) to the asymptotic-state triple (mu, r, phi)."""
-    if N < -EPS_PHYS:
-        raise UnphysicalChannelError(f"N must be >= 0, got {N:.6g}")
-    absM2 = abs(M) ** 2
-    if absM2 > N * (N + 1.0) + EPS_PHYS:
-        raise UnphysicalChannelError(
-            f"|M|^2 = {absM2:.6g} exceeds N(N+1) = {N * (N + 1.0):.6g}")
-    mu = 1.0 / math.sqrt(max((2.0 * N + 1.0) ** 2 - 4.0 * absM2, EPS_PHYS ** 2))
-    r = 0.5 * math.acosh(math.sqrt(1.0 + 4.0 * mu * mu * absM2))
-    phi = 0.0 if M == 0 else -cmath.phase(M) / 2.0
-    return mu, r, phi
+    return BathSpec(N, M).phenomenological()
+
+
+def _cosh_sinh_2r(r: float) -> tuple[float, float]:
+    """cosh 2r and sinh 2r; DomainError where they overflow a float."""
+    try:
+        return math.cosh(2.0 * r), math.sinh(2.0 * r)
+    except OverflowError:
+        raise DomainError(f"bath squeezing r = {r:.6g} is outside the numerical range") from None
 
 
 def nm_from_phenomenological(mu: float, r: float, phi: float = 0.0) -> tuple[float, complex]:
@@ -46,9 +45,17 @@ def nm_from_phenomenological(mu: float, r: float, phi: float = 0.0) -> tuple[flo
         raise DomainError(f"bath purity must lie in (0, 1], got {mu:.6g}")
     if r < 0.0:
         raise DomainError(f"bath squeezing must be >= 0, got {r:.6g}")
-    N = (math.cosh(2.0 * r) / mu - 1.0) / 2.0
-    M = math.sinh(2.0 * r) / (2.0 * mu) * cmath.exp(-2.0j * phi)
+    cosh, sinh = _cosh_sinh_2r(r)
+    N = (cosh / mu - 1.0) / 2.0
+    M = sinh / (2.0 * mu) * cmath.exp(-2.0j * phi)
     return N, M
+
+
+def thermal_purity(N: float, r: float = 0.0) -> float:
+    """Purity mu = cosh 2r / (2N+1) of the bath with squeezing r and N
+    thermal photons; inf at N = -1/2, a purity the channel rejects."""
+    d = 2.0 * N + 1.0
+    return _cosh_sinh_2r(r)[0] / d if d != 0.0 else math.inf
 
 
 @dataclass(frozen=True)
@@ -61,10 +68,13 @@ class BathSpec:
     def __post_init__(self):
         if self.N < -EPS_PHYS:
             raise UnphysicalChannelError(f"N must be >= 0, got {self.N:.6g}")
-        if abs(self.M) ** 2 > self.N * (self.N + 1.0) + EPS_PHYS:
+        try:
+            abs_m2 = abs(self.M) ** 2
+        except OverflowError:
+            raise DomainError(f"|M| = {abs(self.M):.6g} is outside the numerical range") from None
+        if abs_m2 > self.N * (self.N + 1.0) + EPS_PHYS:
             raise UnphysicalChannelError(
-                f"|M|^2 = {abs(self.M) ** 2:.6g} exceeds "
-                f"N(N+1) = {self.N * (self.N + 1.0):.6g}")
+                f"|M|^2 = {abs_m2:.6g} exceeds N(N+1) = {self.N * (self.N + 1.0):.6g}")
 
     @classmethod
     def thermal(cls, N: float) -> "BathSpec":
@@ -76,7 +86,15 @@ class BathSpec:
         return cls(N=N, M=M)
 
     def phenomenological(self) -> tuple[float, float, float]:
-        return phenomenological_from_nm(self.N, self.M)
+        """The asymptotic-state triple (mu, r, phi); N and M are checked."""
+        abs_m2 = abs(self.M) ** 2
+        try:
+            mu = 1.0 / math.sqrt(max((2.0 * self.N + 1.0) ** 2 - 4.0 * abs_m2, EPS_PHYS ** 2))
+        except OverflowError:
+            raise DomainError(f"N = {self.N:.6g} is outside the numerical range") from None
+        r = 0.5 * math.acosh(math.sqrt(1.0 + 4.0 * mu * mu * abs_m2))
+        phi = 0.0 if self.M == 0 else -cmath.phase(self.M) / 2.0
+        return mu, r, phi
 
     def block(self) -> np.ndarray:
         """Asymptotic 2x2 covariance block of this bath."""

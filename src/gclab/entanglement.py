@@ -33,6 +33,7 @@ from .errors import (
     NotEntangledAtStartError,
     UnphysicalChannelError,
 )
+from .evolution import _invariants
 from .states import StandardForm, log_negativity
 
 # Gamma*t horizon beyond which the state is numerically asymptotic
@@ -236,10 +237,7 @@ def _nt_minus_fn(sf: StandardForm, channel: ChannelSpec):
 
     def nt_minus(k: np.ndarray) -> np.ndarray:
         s = sinf * (1.0 - k[:, None, None]) + s0 * k[:, None, None]
-        det_a = s[:, 0, 0] * s[:, 1, 1] - s[:, 0, 1] * s[:, 1, 0]
-        det_b = s[:, 2, 2] * s[:, 3, 3] - s[:, 2, 3] * s[:, 3, 2]
-        det_g = s[:, 0, 2] * s[:, 1, 3] - s[:, 0, 3] * s[:, 1, 2]
-        det_s = np.linalg.det(s)
+        det_a, det_b, det_g, det_s = _invariants(s)
         delta_t = det_a + det_b - 2.0 * det_g
         rad = np.maximum(delta_t * delta_t - 4.0 * det_s, 0.0)
         return np.sqrt(np.maximum((delta_t - np.sqrt(rad)) / 2.0, 0.0))
@@ -313,22 +311,22 @@ def entanglement_time(sf: StandardForm, channel: ChannelSpec) -> EntanglementTim
 
     k_bisect = _bisect_crossing(g)
 
-    gamma = channel.gamma
-    if k_bisect is not None and k_quartic is not None:
-        if abs(k_quartic - k_bisect) > K_AGREE:
+    if k_quartic is None and k_bisect is None:
+        return EntanglementTimeResult(NEVER, 0.0, "bisection", math.nan)
+    if k_quartic is None:
+        k, method, residual = k_bisect, "bisection", float(abs(g(np.array([k_bisect]))[0]))
+    else:
+        if k_bisect is not None and abs(k_quartic - k_bisect) > K_AGREE:
             raise MethodDisagreementError(
                 f"quartic root k = {k_quartic:.12g} vs bisection k = {k_bisect:.12g}")
-        return EntanglementTimeResult(-math.log(k_quartic) / gamma, k_quartic,
-                                      "quartic", res_quartic)
-    if k_bisect is not None:
-        res = float(abs(g(np.array([k_bisect]))[0]))
-        return EntanglementTimeResult(-math.log(k_bisect) / gamma, k_bisect,
-                                      "bisection", res)
-    if k_quartic is not None:
-        # nt_minus touches 1/2 without a sign change
-        return EntanglementTimeResult(-math.log(k_quartic) / gamma, k_quartic,
-                                      "quartic", res_quartic, tangent=True)
-    return EntanglementTimeResult(NEVER, 0.0, "bisection", math.nan)
+        k, method, residual = k_quartic, "quartic", res_quartic
+    t_ent = -math.log(k) / channel.gamma
+    if math.isinf(t_ent):
+        # a finite k: "never" is reserved for no crossing at all
+        raise DomainError(f"entanglement time -ln(k)/gamma overflows at k = {k:.12g}, "
+                          f"gamma = {channel.gamma:.6g}")
+    # without a sign change, nt_minus touches 1/2 at the quartic root
+    return EntanglementTimeResult(t_ent, k, method, residual, tangent=k_bisect is None)
 
 
 def symmetric_tent_bounds(a: float, c1: float, c2: float, N_B: float,

@@ -178,13 +178,19 @@ def _pair(delta: np.ndarray, det_s: np.ndarray):
             np.sqrt(np.where(0.0 > hi, 0.0, hi)), bad)
 
 
-def _evaluate(s: np.ndarray):
-    """MetricsRow fields after t for each (4, 4) matrix of s, as rows of
-    Python scalars, and the mask of rows the scalar path must take."""
+def _invariants(s: np.ndarray):
+    """Det alpha, Det beta, Det gamma and Det sigma of each (4, 4) matrix of
+    s, each bitwise what `local_invariants` gives for that matrix."""
     det_a = s[:, 0, 0] * s[:, 1, 1] - s[:, 0, 1] * s[:, 1, 0]
     det_b = s[:, 2, 2] * s[:, 3, 3] - s[:, 2, 3] * s[:, 3, 2]
     det_g = s[:, 0, 2] * s[:, 1, 3] - s[:, 0, 3] * s[:, 1, 2]
-    det_s = np.linalg.det(s)
+    return det_a, det_b, det_g, np.linalg.det(s)
+
+
+def _evaluate(s: np.ndarray):
+    """MetricsRow fields after t for each (4, 4) matrix of s, as rows of
+    Python scalars, and the mask of rows the scalar path must take."""
+    det_a, det_b, det_g, det_s = _invariants(s)
     with np.errstate(invalid="ignore", divide="ignore"):
         n_minus, n_plus, bad = _pair(det_a + det_b + 2.0 * det_g, det_s)
         nt_minus, _, bad_t = _pair(det_a + det_b - 2.0 * det_g, det_s)

@@ -197,13 +197,18 @@ def validate_covariance(m: CovarianceMatrix) -> ValidationReport:
     is not positive definite the symplectic spectrum is zero (singular) or
     not real (indefinite), and `n_minus` is reported as 0.0.  A matrix whose
     Det sigma is not finite (overflowing or non-finite entries) is not bona
-    fide, with `n_minus` reported as nan.
+    fide, with `n_minus` reported as nan.  Nor is one whose finite Det sigma
+    is <= 0, with `n_minus` 0.0: the uncertainty principle forces Det sigma
+    >= 1/16 (one mode: 1/4), and a Det sigma of 0.0 is what rounding leaves
+    of matrices with huge entries, whose margin may still pass.
     """
     _check_symmetric(m)
     e = m.entries
     det = float(np.linalg.det(e))
     if not math.isfinite(det):
         return ValidationReport(m.symmetry_residual, math.nan, False)
+    if det <= 0.0:
+        return ValidationReport(m.symmetry_residual, 0.0, False)
     margin = float(np.linalg.eigvalsh(e + _HALF_I_OMEGA[len(e)])[0])
     bona_fide = margin >= -EPS_PHYS
     rows = e.tolist()

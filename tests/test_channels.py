@@ -19,6 +19,7 @@ from gclab import (
     purity,
     validate_covariance,
 )
+from gclab.channels import thermal_purity
 from util import random_channel
 
 
@@ -82,6 +83,26 @@ def test_unphysical_bath_rejected():
         nm_from_phenomenological(1.5, 0.0)
     with pytest.raises(DomainError):
         nm_from_phenomenological(0.5, -0.2)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: BathSpec(1e308, 1e308),                 # |M|^2 overflows
+    lambda: phenomenological_from_nm(1e200, 0.0),   # (2N+1)^2 overflows
+    lambda: nm_from_phenomenological(0.5, 800.0),   # cosh 2r overflows
+])
+def test_out_of_range_bath_numbers_are_domain_errors(make):
+    with pytest.raises(DomainError, match="outside the numerical range"):
+        make()
+
+
+def test_thermal_purity(rng):
+    for N, r in zip(rng.uniform(0.0, 3.0, 200).tolist(), rng.uniform(0.0, 2.0, 200).tolist()):
+        assert thermal_purity(N) == 1.0 / (2.0 * N + 1.0)
+        assert thermal_purity(N, r) == math.cosh(2.0 * r) / (2.0 * N + 1.0)
+    # 2N + 1 = 0: a purity outside (0, 1] that the channel rejects
+    assert thermal_purity(-0.5) == math.inf
+    with pytest.raises(DomainError):
+        ChannelSpec.from_phenomenological(thermal_purity(-0.5), 0.0, 1.0, 0.0)
 
 
 def test_vacuum_asymptotic_state():

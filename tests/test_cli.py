@@ -4,6 +4,7 @@ and figure presets."""
 import math
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -16,7 +17,9 @@ from gclab import (
     time_series,
 )
 import gclab.cli
+import gclab.states
 from gclab.cli import CSV_HEADER, SWEEP_AXES, RunConfig, apply_axis, fmt, main, metrics_line
+from gclab.evolution import MetricsRow
 from util import scalar_time_series
 
 RUN = ["--state", "st", "1", "1", "--bath1", "thermal", "0.5",
@@ -111,6 +114,37 @@ def test_tent_never(capsys):
     assert out.startswith("t_ent=never")
 
 
+def test_tent_validates_the_state_once(monkeypatch, capsys):
+    calls = []
+    validate = gclab.states.validate_covariance
+    monkeypatch.setattr(gclab.states, "validate_covariance",
+                        lambda m: calls.append(m) or validate(m))
+    code, out, _ = run_cli(["tent", *RUN], capsys)
+    assert code == 0
+    assert out.startswith("t_ent=")
+    assert len(calls) == 1
+
+
+def test_tent_reports_a_channel_error_before_a_state_error(capsys):
+    # an indefinite state and a bath 1 angle: the channel is built first
+    code, _, err = run_cli(["tent", "--state", "sf", "1", "1", "1.2", "-1.2",
+                            "--bath1", "ph", "0.5", "1", "0.3"], capsys)
+    assert code == 2
+    assert "reference" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["tent", *RUN, "--gamma", "1e-320"],
+    ["sweep", *RUN, "--axis1", "N2:0.5:1:2", "--tent", "--gamma", "1e-320"],
+])
+def test_overflowing_entanglement_time_is_an_error(argv, capsys):
+    # the crossing k is found, but -ln(k) / gamma is inf: not "never"
+    code, out, err = run_cli(argv, capsys)
+    assert code == 3
+    assert out == ""
+    assert "overflows" in err
+
+
 def test_tent_separable_start_exit_code(capsys):
     code, _, err = run_cli(["tent", "--state", "sf", "2", "2", "1.5", "-1.5",
                             "--bath1", "thermal", "0.5", "--bath2", "thermal", "0.5"],
@@ -158,6 +192,37 @@ def test_unphysical_bath_exit_code(capsys):
     code, _, err = run_cli(["metrics", *RUN[:4], "--bath1", "nm", "0.5", "1.0"],
                            capsys)
     assert code == 2 or code == 3
+
+
+@pytest.mark.parametrize("argv", [
+    ["metrics", *RUN[:4], "--bath1", "thermal", "-0.5", "--times", "0"],
+    ["metrics", *RUN[:4], "--bath1", "ph", "0.5", "800", "--times", "0"],
+    ["metrics", *RUN[:4], "--bath1", "ph", "0.5", "355", "--times", "0"],
+    ["metrics", *RUN[:4], "--bath1", "nm", "1e308", "1e308", "--times", "0"],
+    ["metrics", *RUN[:4], "--bath1", "nm", "1e200", "0", "--times", "0"],
+    ["sweep", *RUN[:4], "--axis1", "r1:0:800:3", "--axis2", "N1:0:1:2"],
+    ["sweep", *RUN[:4], "--axis1", "N1:-0.5:0:2"],
+])
+def test_out_of_range_bath_is_one_error_line(argv, capsys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(argv, capsys)
+    assert code in (2, 3)
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert err.startswith("gclab: ")
+
+
+@pytest.mark.parametrize("argv", [
+    ["metrics", "--state", "st", "1", "10", "--times", "0"],
+    ["metrics", *RUN[:4], "--bath1", "ph", "0.5", "10.25",
+     "--bath2", "ph", "0.5", "10.25", "0.3", "--times", "0"],
+])
+def test_zero_determinant_is_unphysical(argv, capsys):
+    code, out, err = run_cli(argv, capsys)
+    assert code == 3
+    assert "unphysical input" in err
+    assert out == ""
 
 
 def test_bath1_angle_must_be_zero(capsys):
@@ -462,6 +527,19 @@ def test_console_script_entry_point():
 def test_fmt_twelve_significant_digits():
     assert fmt(1 / 3) == "0.333333333333"
     assert fmt(2.0) == "2"
+
+
+def test_metrics_line_matches_fmt_join():
+    special = [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -2.5e-310,
+               2.2250738585072014e-308, 1 / 3, 2.0, 1e22, -123456789012.5]
+    rows = [[special[(s + j) % len(special)] for j in range(8)]
+            for s in range(len(special))]
+    bits = np.random.default_rng(7).bytes(8 * 8 * 2000)
+    rows += np.frombuffer(bits, dtype=np.float64).reshape(-1, 8).tolist()
+    rows.append([np.float64(0.1), *rows[0][1:]])       # grid times are numpy floats
+    for i, values in enumerate(rows):
+        line = metrics_line(MetricsRow(*values, separable=bool(i % 2)))
+        assert line == ",".join([fmt(x) for x in values] + [str(i % 2)])
 
 
 # ---------------------------------------------------------------------------

@@ -121,6 +121,17 @@ def test_non_finite_determinant_is_not_bona_fide(sf):
         require_bona_fide(sf.to_matrix())
 
 
+def test_zero_determinant_is_not_bona_fide():
+    # the twin beam's entries are ~2e8: its Det sigma = 1/16 rounds to 0.0
+    m = squeezed_thermal_state(1.0, 10.0).to_matrix()
+    assert float(np.linalg.det(m.entries)) == 0.0
+    report = validate_covariance(m)
+    assert not report.bona_fide
+    assert report.n_minus == 0.0
+    with pytest.raises(InvalidStateError):
+        require_bona_fide(m)
+
+
 def test_validation_matches_brute_force(rng):
     # positive definite input: bona fide iff n_minus >= 1/2, n_minus as eig
     samples = [random_standard_form(rng) for _ in range(200)]
