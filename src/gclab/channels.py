@@ -47,8 +47,11 @@ def nm_from_phenomenological(mu: float, r: float, phi: float = 0.0) -> tuple[flo
         raise DomainError(f"bath squeezing must be >= 0, got {r:.6g}")
     cosh, sinh = _cosh_sinh_2r(r)
     N = (cosh / mu - 1.0) / 2.0
-    M = sinh / (2.0 * mu) * cmath.exp(-2.0j * phi)
-    return N, M
+    abs_m = sinh / (2.0 * mu)
+    if not math.isfinite(N) or not math.isfinite(abs_m * abs_m):
+        raise DomainError(
+            f"bath mu = {mu:.6g}, r = {r:.6g} is outside the numerical range")
+    return N, abs_m * cmath.exp(-2.0j * phi)
 
 
 def thermal_purity(N: float, r: float = 0.0) -> float:

@@ -225,11 +225,16 @@ def _open_output(path):
     return open(path, "w", newline="\n"), True
 
 
-def cmd_metrics(cfg: RunConfig, out) -> int:
-    rows = time_series(cfg.problem())
+def _print_series(problem: EvolutionProblem, out) -> None:
+    """The CSV header and one line per row, printed once every row is computed."""
+    rows = time_series(problem)
     print(CSV_HEADER, file=out)
     for row in rows:
         print(metrics_line(row), file=out)
+
+
+def cmd_metrics(cfg: RunConfig, out) -> int:
+    _print_series(cfg.problem(), out)
     return 0
 
 
@@ -342,9 +347,7 @@ def cmd_figure(number: int, gamma: float, out_base: str | None) -> int:
             continue
         path = f"{base}_curve{idx}.csv"
         with open(path, "w", newline="\n") as fh:
-            print(CSV_HEADER, file=fh)
-            for row in time_series(problem):
-                print(metrics_line(row), file=fh)
+            _print_series(problem, fh)
         print(path)
     return 0
 

@@ -77,9 +77,6 @@ class SeparabilityQuartic:
     y: float
     z: float
 
-    def evaluate(self, k: float) -> float:
-        return (((self.u * k + self.v) * k + self.w) * k + self.y) * k + self.z
-
     def coefficients(self) -> tuple[float, float, float, float, float]:
         return (self.u, self.v, self.w, self.y, self.z)
 

@@ -112,7 +112,8 @@ class SymplecticSpectrum:
 @dataclass(frozen=True)
 class ValidationReport:
     symmetry_residual: float
-    n_minus: float
+    margin: float          # min eigvalsh(sigma + i Omega / 2); nan if Det sigma is not finite
+    det_sigma: float
     bona_fide: bool
 
 
@@ -124,11 +125,12 @@ class NegativityResult:
     separable: bool
 
 
-def _check_symmetric(m: CovarianceMatrix) -> None:
+def _check_symmetric(m: CovarianceMatrix) -> float:
     res = m.symmetry_residual
     if res > EPS_SYM:
         raise NonSymmetricMatrixError(
             f"symmetry residual {res:.3e} exceeds {EPS_SYM:.0e}")
+    return res
 
 
 def local_invariants(m: CovarianceMatrix) -> SymplecticInvariants:
@@ -153,81 +155,38 @@ _HALF_I_OMEGA = {
 }
 
 
-def _positive_definite(e: list, det: float) -> bool:
-    """Sylvester's criterion: every leading principal minor is positive."""
-    minors = [e[0][0], det]
-    if len(e) == 4:
-        minors.append(e[0][0] * e[1][1] - e[0][1] * e[1][0])
-        minors.append(e[0][0] * (e[1][1] * e[2][2] - e[1][2] * e[2][1])
-                      - e[0][1] * (e[1][0] * e[2][2] - e[1][2] * e[2][0])
-                      + e[0][2] * (e[1][0] * e[2][1] - e[1][1] * e[2][0]))
-    return all(x > 0.0 for x in minors)
-
-
-def _n_minus_of(e: list, det: float) -> float:
-    """Smallest ordinary symplectic eigenvalue from the invariants.
-
-    One mode: sqrt(Det sigma).  Two modes: n_minus^2 is the smaller root of
-    q^2 - Delta q + Det sigma = 0, written as 2 Det / (Delta + sqrt(radicand))
-    so a small Det sigma loses no digits.  Near a degenerate pair
-    (n_minus ~ n_plus) the radicand cancels and half the working precision
-    goes; the report is diagnostic, the printed n_minus comes from
-    `symplectic_spectrum`.  Requires positive definite sigma (Delta, Det > 0).
-    """
-    if len(e) == 2:
-        return math.sqrt(max(det, 0.0))
-    det2 = lambda i, j: e[i][j] * e[i + 1][j + 1] - e[i][j + 1] * e[i + 1][j]
-    delta = det2(0, 0) + det2(2, 2) + 2.0 * det2(0, 2)
-    root = math.sqrt(max(delta * delta - 4.0 * det, 0.0))
-    return math.sqrt(2.0 * det / (delta + root))
-
-
 def validate_covariance(m: CovarianceMatrix) -> ValidationReport:
     """Symmetry + uncertainty-principle check; reports, never raises on a
     symmetric 2x2 or 4x4 matrix.
 
     sigma is bona fide iff sigma + i Omega / 2 >= 0 (Simon, Mukunda & Dutta,
-    PRA 49, 1567 (1994)), decided as min eigvalsh(sigma + i Omega / 2) >=
-    -EPS_PHYS.  The matrix is Hermitian, so its spectrum is real even where
-    sigma is singular or indefinite.  For positive definite sigma the
-    criterion is the same as n_minus >= 1/2.
+    PRA 49, 1567 (1994)), decided by the margin min eigvalsh(sigma + i Omega
+    / 2) >= -EPS_PHYS.  The matrix is Hermitian, so the margin is real even
+    where sigma is singular or indefinite; for positive definite sigma its
+    sign is the sign of n_minus - 1/2.
 
-    `n_minus` is the smallest symplectic eigenvalue, taken from the
-    invariants Delta and Det sigma (no further decomposition).  Where sigma
-    is not positive definite the symplectic spectrum is zero (singular) or
-    not real (indefinite), and `n_minus` is reported as 0.0.  A matrix whose
-    Det sigma is not finite (overflowing or non-finite entries) is not bona
-    fide, with `n_minus` reported as nan.  Nor is one whose finite Det sigma
-    is <= 0, with `n_minus` 0.0: the uncertainty principle forces Det sigma
-    >= 1/16 (one mode: 1/4), and a Det sigma of 0.0 is what rounding leaves
-    of matrices with huge entries, whose margin may still pass.
+    A matrix whose Det sigma is not finite (overflowing or non-finite
+    entries) is not bona fide, with margin nan.  Nor is one whose Det sigma
+    is <= 0: the uncertainty principle forces Det sigma >= 1/16 (one mode:
+    1/4), and a Det sigma of 0.0 is what rounding leaves of matrices with
+    huge entries, whose margin may still pass.
     """
-    _check_symmetric(m)
+    res = _check_symmetric(m)
     e = m.entries
-    det = float(np.linalg.det(e))
+    with np.errstate(over="ignore"):
+        det = float(np.linalg.det(e))
     if not math.isfinite(det):
-        return ValidationReport(m.symmetry_residual, math.nan, False)
-    if det <= 0.0:
-        return ValidationReport(m.symmetry_residual, 0.0, False)
+        return ValidationReport(res, math.nan, det, False)
     margin = float(np.linalg.eigvalsh(e + _HALF_I_OMEGA[len(e)])[0])
-    bona_fide = margin >= -EPS_PHYS
-    rows = e.tolist()
-    if bona_fide or _positive_definite(rows, det):
-        n_minus = _n_minus_of(rows, det)
-    else:
-        n_minus = 0.0
-    return ValidationReport(
-        symmetry_residual=m.symmetry_residual,
-        n_minus=n_minus,
-        bona_fide=bona_fide,
-    )
+    return ValidationReport(res, margin, det, det > 0.0 and margin >= -EPS_PHYS)
 
 
 def require_bona_fide(m: CovarianceMatrix) -> ValidationReport:
     report = validate_covariance(m)
     if not report.bona_fide:
         raise InvalidStateError(
-            f"matrix is not a bona fide covariance matrix (n_minus = {report.n_minus:.6g})")
+            "matrix is not a bona fide covariance matrix (min eig(sigma + i Omega/2)"
+            f" = {report.margin:.6g}, Det sigma = {report.det_sigma:.6g})")
     return report
 
 
@@ -258,8 +217,7 @@ def _spectrum_of(inv: SymplecticInvariants) -> SymplecticSpectrum:
 
 def purity(m: CovarianceMatrix) -> float:
     """mu = 1 / (2^n sqrt(Det sigma))."""
-    require_bona_fide(m)
-    det = float(np.linalg.det(m.entries))
+    det = require_bona_fide(m).det_sigma
     mu = 1.0 / (2 ** m.mode_count * math.sqrt(det))
     if mu > 1.0 + EPS_PHYS:
         raise InvalidStateError(f"purity {mu:.6g} exceeds 1")

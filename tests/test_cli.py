@@ -225,6 +225,33 @@ def test_zero_determinant_is_unphysical(argv, capsys):
     assert out == ""
 
 
+@pytest.mark.parametrize("state, shown", [
+    (["sf", "1", "1", "1.2", "-1.2"], "(min eig(sigma + i Omega/2) = -0.3, Det sigma = 0.1936)"),
+    (["st", "1", "10"], ", Det sigma = 0)"),
+], ids=["sf-1-1-1.2--1.2", "st-1-10"])
+def test_unphysical_state_error_states_margin_and_det_sigma(state, shown, capsys):
+    code, out, err = run_cli(["metrics", "--state", *state, "--times", "0"], capsys)
+    assert code == 3
+    assert out == ""
+    assert err.startswith("gclab: unphysical input: ") and shown in err
+
+
+@pytest.mark.parametrize("bath, shown", [
+    (["ph", "0.5", "300"], "bath mu = 0.5, r = 300 is outside the numerical range"),
+    (["ph", "1e-310", "0"], "bath mu = 1e-310, r = 0 is outside the numerical range"),
+    (["thermal", "1e200"], "(min eig(sigma + i Omega/2) = nan, Det sigma = inf)"),
+], ids=["ph-0.5-300", "ph-1e-310-0", "thermal-1e200"])
+def test_overflowing_bath_is_one_unphysical_line(bath, shown, capsys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(["metrics", *RUN[:4], "--bath1", *bath, "--times", "0"],
+                                 capsys)
+    assert code == 3
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert err.startswith("gclab: unphysical input: ") and shown in err
+
+
 def test_bath1_angle_must_be_zero(capsys):
     code, _, err = run_cli(["metrics", "--state", "st", "1", "1",
                             "--bath1", "ph", "0.5", "1", "0.3",

@@ -110,7 +110,8 @@ def test_quartic_tracks_ppt_boundary_functional(rng):
             inv = local_invariants(evolve(sf.to_matrix(), sigma_inf, spec.gamma, t))
             direct = (4.0 * inv.det_sigma + 0.25 - inv.det_alpha - inv.det_beta
                       + 2.0 * inv.det_gamma)
-            assert q.evaluate(k) == pytest.approx(direct, rel=1e-8, abs=1e-9)
+            assert np.polyval(q.coefficients(), k) == pytest.approx(
+                direct, rel=1e-8, abs=1e-9)
 
 
 def test_quartic_root_is_ppt_crossing():

@@ -51,20 +51,20 @@ FIG2 = StandardForm(1.5, 1.5, 1.2, -1.4)           # symmetric entangled state
 def test_vacuum_is_bona_fide():
     report = validate_covariance(VACUUM)
     assert report.bona_fide
-    assert report.n_minus == pytest.approx(0.5, abs=1e-12)
+    assert report.margin == pytest.approx(0.0, abs=1e-12)
 
 
 def test_point_state_validation():
     report = validate_covariance(POINT.to_matrix())
     assert report.bona_fide
-    assert report.n_minus == pytest.approx((math.sqrt(5) - 1) / 2, abs=1e-12)
+    assert report.margin == pytest.approx(1.5 - math.sqrt(2), abs=1e-12)
 
 
 def test_boundary_violating_state_rejected():
     # a=1, b=c1=-c2=1 sits outside the uncertainty bound (n_minus = 0)
     report = validate_covariance(StandardForm(1, 1, 1, -1).to_matrix())
     assert not report.bona_fide
-    assert report.n_minus == pytest.approx(0.0, abs=1e-9)
+    assert report.margin == pytest.approx((2 - math.sqrt(5)) / 2, abs=1e-12)
     with pytest.raises(InvalidStateError):
         require_bona_fide(StandardForm(1, 1, 1, -1).to_matrix())
 
@@ -77,7 +77,8 @@ def test_indefinite_matrix_rejected():
     assert np.linalg.det(m.entries) > 0.4
     report = validate_covariance(m)
     assert not report.bona_fide
-    assert report.n_minus == 0.0
+    # v^T (sigma + i Omega/2) v = v^T sigma v for real v
+    assert report.margin <= np.linalg.eigvalsh(m.entries)[0] + 1e-12
 
 
 @pytest.mark.parametrize("sf", [
@@ -87,7 +88,7 @@ def test_indefinite_matrix_rejected():
 def test_not_positive_definite_reported_then_rejected(sf):
     report = validate_covariance(sf.to_matrix())
     assert not report.bona_fide
-    assert report.n_minus == 0.0
+    assert report.margin <= np.linalg.eigvalsh(sf.to_matrix().entries)[0] + 1e-12
     with pytest.raises(InvalidStateError):
         require_bona_fide(sf.to_matrix())
 
@@ -104,9 +105,10 @@ def test_validation_never_raises_on_symmetric_input(rng):
                 sym = (v * w) @ v.T
                 sym = (sym + sym.T) / 2.0
             report = validate_covariance(CovarianceMatrix(sym))
-            if np.linalg.eigvalsh(sym)[0] < -1e-12:
+            lowest = np.linalg.eigvalsh(sym)[0]
+            if lowest < -1e-12:
                 assert not report.bona_fide
-                assert report.n_minus == 0.0
+                assert report.margin <= lowest + 1e-12
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value")
@@ -127,21 +129,33 @@ def test_zero_determinant_is_not_bona_fide():
     assert float(np.linalg.det(m.entries)) == 0.0
     report = validate_covariance(m)
     assert not report.bona_fide
-    assert report.n_minus == 0.0
+    assert report.det_sigma == 0.0
     with pytest.raises(InvalidStateError):
         require_bona_fide(m)
 
 
+def test_rejection_states_margin_and_det_sigma():
+    # for a = b the form splits into 2x2 blocks [[1 + c, i/2], [-i/2, 1 - c]]
+    # with eigenvalues 1 +- sqrt(c^2 + 1/4): 1 - 1.3 at c = 1.2
+    m = StandardForm(1, 1, 1.2, -1.2).to_matrix()
+    assert validate_covariance(m).margin == pytest.approx(-0.3, abs=1e-12)
+    with pytest.raises(InvalidStateError, match=r"= -0\.3, Det sigma = 0\.1936\)"):
+        require_bona_fide(m)
+    with pytest.raises(InvalidStateError, match=r", Det sigma = 0\)"):
+        require_bona_fide(squeezed_thermal_state(1.0, 10.0).to_matrix())
+
+
 def test_validation_matches_brute_force(rng):
-    # positive definite input: bona fide iff n_minus >= 1/2, n_minus as eig
+    # positive definite input: bona fide iff n_minus >= 1/2, and the margin
+    # has the sign of n_minus - 1/2, n_minus as eig
     samples = [random_standard_form(rng) for _ in range(200)]
     samples += [random_invalid_standard_form(rng) for _ in range(200)]
     for sf in samples:
         m = transformed(sf.to_matrix(), random_local_symplectic(rng))
         report = validate_covariance(m)
         n_minus = brute_symplectic_eigs(m.entries)[0]
-        assert report.n_minus == pytest.approx(n_minus, rel=1e-7, abs=1e-9)
         if abs(n_minus - 0.5) > 1e-7:
+            assert (report.margin > 0.0) == (n_minus > 0.5)
             assert report.bona_fide == (n_minus > 0.5)
 
 

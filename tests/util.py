@@ -78,7 +78,9 @@ def random_invalid_standard_form(rng, a_max=3.0):
             report = validate_covariance(sf.to_matrix())
         except GclabError:
             continue
-        if not report.bona_fide and report.n_minus > 1e-6:
+        e = sf.to_matrix().entries
+        if (not report.bona_fide and np.linalg.eigvalsh(e)[0] > 0.0
+                and brute_symplectic_eigs(e)[0] > 1e-6):
             return sf
 
 
