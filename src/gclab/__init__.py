@@ -15,7 +15,6 @@ from .entanglement import (
     NEVER,
     EntanglementTimeResult,
     InvariantPolynomials,
-    SeparabilityQuartic,
     entanglement_time,
     invariant_polynomials,
     real_quartic_roots,

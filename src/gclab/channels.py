@@ -134,10 +134,6 @@ class ChannelSpec:
         return cls(BathSpec.from_phenomenological(mu1, r1, 0.0),
                    BathSpec.from_phenomenological(mu2, r2, phi2), gamma)
 
-    @property
-    def equal_baths(self) -> bool:
-        return self.bath1.equals(self.bath2)
-
 
 def asymptotic_covariance(spec: ChannelSpec) -> CovarianceMatrix:
     """Block-diagonal 4x4 asymptotic state of the two uncorrelated baths."""

@@ -251,7 +251,7 @@ def cmd_tent(cfg: RunConfig, out) -> int:
     return 0
 
 
-def parse_axis(spec: str) -> tuple[str, np.ndarray]:
+def parse_axis(spec: str) -> tuple[str, list[float]]:
     parts = spec.split(":")
     if len(parts) != 4:
         raise ConfigError(f"axis spec must be name:start:stop:count, got {spec!r}")
@@ -265,7 +265,7 @@ def parse_axis(spec: str) -> tuple[str, np.ndarray]:
         raise ConfigError(f"axis count: {exc}") from exc
     if count < 1:
         raise ConfigError("axis count must be >= 1")
-    return name, np.linspace(start, stop, count)
+    return name, np.linspace(start, stop, count).tolist()
 
 
 def apply_axis(cfg: RunConfig, name: str, value: float) -> RunConfig:

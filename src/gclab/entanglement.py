@@ -1,27 +1,26 @@
-"""Separability analysis along the channel: invariant polynomials in
-k = exp(-Gamma t), the quartic separability equation, entanglement time with
-an independent bisection cross-check, and closed-form special cases.
+"""Separability analysis along the channel: the invariant polynomials and the
+separability quartic in k = exp(-Gamma t), the entanglement time with an
+independent bisection cross-check, and closed-form special cases.
 
-The local symplectic invariants of the evolved state are exact polynomials
-in k.  Writing n_i = N_i + 1/2, m1 = Re M1 (bath 1 squeezing is taken real,
-the phi1 = 0 reference choice), p2 = Re M2, and D_i = Det(sigma_i_inf):
+sigma(k) = sigma_inf (1 - k) + sigma(0) k, for a standard form sigma(0) in
+uncorrelated baths (bath 1 squeezing real: the phi1 = 0 reference choice), has
+seven entries that can be non-zero, each affine in k: alpha = diag(al1, al2),
+gamma = diag(g1, g2) and beta with be11, be22 and be12 (bath 2's angle).  So
+Det alpha = al1 al2, Det beta = be11 be22 - be12^2, Det gamma = g1 g2 and
 
-    Det sigma(t) = sum_j Sigma_j k^j      (degree 4)
-    Det alpha(t) = sum_j alpha_j k^j      (degree 2)
-    Det beta(t)  = sum_j beta_j k^j       (degree 2)
-    Det gamma(t) = gamma_2 k^2
+    Det sigma = (al1 be11 - g1^2)(al2 be22 - g2^2) - al1 al2 be12^2.
 
-The PPT boundary nt_minus = 1/2 is equivalent to
-
-    4 Det sigma(t) + 1/4 - Det alpha(t) - Det beta(t) + 2 Det gamma(t) = 0
-
-which is quartic in k; its solution closest to (and not exceeding) one gives
-the entanglement time t_ent = -(1/Gamma) ln k_ent.
+The PPT boundary nt_minus = 1/2 is the quartic in k
+4 Det sigma + 1/4 - Det alpha - Det beta + 2 Det gamma = 0, and its root
+closest to (and not above) one gives t_ent = -(1/Gamma) ln k_ent.  The float
+entries of sigma(0) and sigma_inf are integers over one power of two, so the
+polynomials are formed exactly and each coefficient is rounded once.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,7 +33,7 @@ from .errors import (
     UnphysicalChannelError,
 )
 from .evolution import _invariants
-from .states import StandardForm, log_negativity
+from .states import CovarianceMatrix, StandardForm, log_negativity
 
 # Gamma*t horizon beyond which the state is numerically asymptotic
 T_HORIZON = 60.0
@@ -43,6 +42,10 @@ K_MIN = math.exp(-T_HORIZON)
 K_AGREE = 1e-7
 
 NEVER = math.inf
+
+# al1, al2, be11, be22, be12, g1, g2 from the 16 entries of a 4x4 matrix
+SEVEN = operator.itemgetter(0, 5, 10, 15, 11, 2, 7)
+OUT_OF_RANGE = "sigma(0) or sigma_inf is outside the numerical range of the quartic"
 
 
 @dataclass(frozen=True)
@@ -68,24 +71,10 @@ class InvariantPolynomials:
 
 
 @dataclass(frozen=True)
-class SeparabilityQuartic:
-    """u k^4 + v k^3 + w k^2 + y k + z = 0 marks the PPT boundary."""
-
-    u: float
-    v: float
-    w: float
-    y: float
-    z: float
-
-    def coefficients(self) -> tuple[float, float, float, float, float]:
-        return (self.u, self.v, self.w, self.y, self.z)
-
-
-@dataclass(frozen=True)
 class EntanglementTimeResult:
     t_ent: float                 # math.inf means "never separable"
     k_ent: float                 # 0.0 when never
-    method: str                  # "quartic", "bisection" or "closed_form"
+    method: str                  # "quartic" or "bisection"
     residual: float              # |nt_minus(t_ent) - 1/2|
     tangent: bool = False        # nt_minus touches 1/2 without crossing
 
@@ -101,80 +90,81 @@ def _horner(coeffs_ascending, k: float) -> float:
     return out
 
 
+def _exact_invariants(sigma0: CovarianceMatrix, sigma_inf: CovarianceMatrix):
+    """The invariants of sigma(k), exact: (e, Det alpha, Det beta, Det gamma,
+    Det sigma) as ascending integer coefficients in k over 4**e (Det sigma:
+    16**e), where 2**e is the common denominator of the seven entries."""
+    sinf, s0 = sigma_inf.entries.ravel().tolist(), sigma0.entries.ravel().tolist()
+    if abs(sinf[1]) > 1e-12:
+        raise UnphysicalChannelError("bath 1 squeezing must be real (phi1 = 0 reference "
+                                     f"choice); got Im M1 = {sinf[1]:.3e}")
+    try:
+        ratios = [x.as_integer_ratio() for x in SEVEN(sinf) + SEVEN(s0)]
+    except (OverflowError, ValueError):
+        raise DomainError(OUT_OF_RANGE) from None
+    e = max(d for _, d in ratios).bit_length() - 1
+    ints = [n << (e + 1 - d.bit_length()) for n, d in ratios]
+    al1, al2, be11, be22, be12, g1, g2 = zip(ints[:7], map(operator.sub, ints[7:], ints[:7]))
+    det_a = _mul(al1, al2)
+    be12_sq = _mul(be12, be12)
+    det_b = _sub(_mul(be11, be22), be12_sq)
+    left = _sub(_mul(al1, be11), _mul(g1, g1))
+    right = _sub(_mul(al2, be22), _mul(g2, g2))
+    det_s = _sub(_mul2(left, right), _mul2(det_a, be12_sq))
+    return e, det_a, det_b, _mul(g1, g2), det_s
+
+
+def _mul(p, q):
+    """Product of two affine integer polynomials (ascending coefficients)."""
+    (p0, p1), (q0, q1) = p, q
+    return (p0 * q0, p0 * q1 + p1 * q0, p1 * q1)
+
+
+def _mul2(p, q):
+    """Product of two quadratic integer polynomials (ascending coefficients)."""
+    (p0, p1, p2), (q0, q1, q2) = p, q
+    return (p0 * q0, p0 * q1 + p1 * q0, p0 * q2 + p1 * q1 + p2 * q0,
+            p1 * q2 + p2 * q1, p2 * q2)
+
+
+def _sub(p, q):
+    return tuple(map(operator.sub, p, q))
+
+
+def _rounded(ints, e: int) -> tuple[float, ...]:
+    """Each integer over 2**e, rounded once (int / int rounds correctly)."""
+    try:
+        return tuple(n / (1 << e) for n in ints)
+    except OverflowError:
+        raise DomainError(OUT_OF_RANGE) from None
+
+
 def invariant_polynomials(sf: StandardForm, channel: ChannelSpec) -> InvariantPolynomials:
-    """Exact coefficient sets for a standard-form state in uncorrelated baths."""
-    b1, b2 = channel.bath1, channel.bath2
-    if abs(b1.M.imag) > 1e-12:
-        raise UnphysicalChannelError(
-            "bath 1 squeezing must be real (phi1 = 0 reference choice); "
-            f"got Im M1 = {b1.M.imag:.3e}")
-    a, b, c1, c2 = sf.a, sf.b, sf.c1, sf.c2
-    n1 = b1.N + 0.5
-    n2 = b2.N + 0.5
-    m1 = b1.M.real
-    p2 = b2.M.real
-    d1 = n1 * n1 - m1 * m1           # Det of bath-1 block = 1/(4 mu1^2)
-    d2 = n2 * n2 - abs(b2.M) ** 2    # Det of bath-2 block = 1/(4 mu2^2)
-    cp = c1 * c1 + c2 * c2
-    cm = c1 * c1 - c2 * c2
-
-    s4 = (a * a * b * b + a * a * d2 + b * b * d1
-          - 2.0 * a * a * b * n2 - 2.0 * a * b * b * n1 + 4.0 * a * b * n1 * n2
-          - 2.0 * a * n1 * d2 - 2.0 * b * n2 * d1
-          + cp * (a * n2 + b * n1 - n1 * n2 - m1 * p2 - a * b)
-          - cm * (a * p2 + b * m1 - m1 * n2 - n1 * p2)
-          + c1 * c1 * c2 * c2 + d1 * d2)
-    s3 = (-2.0 * a * a * d2 - 2.0 * b * b * d1
-          + 2.0 * a * a * b * n2 + 2.0 * a * b * b * n1 - 8.0 * a * b * n1 * n2
-          + 6.0 * a * n1 * d2 + 6.0 * b * n2 * d1
-          + cm * (a * p2 + b * m1 - 2.0 * m1 * n2 - 2.0 * n1 * p2)
-          - cp * (a * n2 + b * n1 - 2.0 * n1 * n2 - 2.0 * m1 * p2)
-          - 4.0 * d1 * d2)
-    s2 = (a * a * d2 + b * b * d1 + 4.0 * a * b * n1 * n2
-          - 6.0 * a * n1 * d2 - 6.0 * b * n2 * d1
-          - cp * (n1 * n2 + m1 * p2) + cm * (m1 * n2 + n1 * p2)
-          + 6.0 * d1 * d2)
-    s1 = 2.0 * a * n1 * d2 + 2.0 * b * n2 * d1 - 4.0 * d1 * d2
-    s0 = d1 * d2
-
-    al2 = a * a - 2.0 * a * n1 + d1
-    al1 = 2.0 * a * n1 - 2.0 * d1
-    al0 = d1
-    be2 = b * b - 2.0 * b * n2 + d2
-    be1 = 2.0 * b * n2 - 2.0 * d2
-    be0 = d2
-
-    return InvariantPolynomials(
-        sigma_coeffs=(s0, s1, s2, s3, s4),
-        alpha_coeffs=(al0, al1, al2),
-        beta_coeffs=(be0, be1, be2),
-        gamma2=c1 * c2,
-    )
+    """The four invariants' coefficients in k, exact and each rounded once."""
+    e, det_a, det_b, det_g, det_s = _exact_invariants(
+        sf.to_matrix(), asymptotic_covariance(channel))
+    return InvariantPolynomials(_rounded(det_s, 4 * e), _rounded(det_a, 2 * e),
+                                _rounded(det_b, 2 * e), _rounded(det_g, 2 * e)[2])
 
 
-def separability_quartic(p: InvariantPolynomials) -> SeparabilityQuartic:
-    """PPT-boundary quartic 4 Det sigma + 1/4 - Det alpha - Det beta + 2 Det gamma."""
-    s0, s1, s2, s3, s4 = p.sigma_coeffs
-    a0, a1, a2 = p.alpha_coeffs
-    b0, b1, b2 = p.beta_coeffs
-    return SeparabilityQuartic(
-        u=4.0 * s4,
-        v=4.0 * s3,
-        w=4.0 * s2 - a2 - b2 + 2.0 * p.gamma2,
-        y=4.0 * s1 - a1 - b1,
-        z=4.0 * s0 - a0 - b0 + 0.25,
-    )
+def separability_quartic(sigma0: CovarianceMatrix,
+                         sigma_inf: CovarianceMatrix) -> tuple[float, ...]:
+    """Descending coefficients (u, v, w, y, z) in k of 4 Det sigma + 1/4 -
+    Det alpha - Det beta + 2 Det gamma along the channel from a standard form
+    sigma0 to sigma_inf, assembled in integers and each rounded once."""
+    e, det_a, det_b, det_g, det_s = _exact_invariants(sigma0, sigma_inf)
+    # 4 P 16**e = 16 Det sigma + 16**e - 4**(e+1) (Det alpha + Det beta - 2 Det gamma)
+    p = [16 * s for s in det_s]
+    for j in range(3):
+        p[j] -= (det_a[j] + det_b[j] - 2 * det_g[j]) << (2 * e + 2)
+    p[0] += 1 << (4 * e)
+    return _rounded(reversed(p), 4 * e + 2)
 
-
-# ---------------------------------------------------------------------------
-# real-root extraction for the separability quartic (eigenvalues + Newton polish)
-# ---------------------------------------------------------------------------
 
 def _polish(coeffs, x: float, iters: int = 8) -> float:
     """Newton refinement on the full polynomial (descending coefficients)."""
     for _ in range(iters):
-        val = 0.0
-        der = 0.0
+        val = der = 0.0
         for c in coeffs:
             der = der * x + val
             val = val * x + c
@@ -188,19 +178,15 @@ def _polish(coeffs, x: float, iters: int = 8) -> float:
 
 
 def real_quartic_roots(u: float, v: float, w: float, y: float, z: float) -> list[float]:
-    """All real roots of u k^4 + v k^3 + w k^2 + y k + z.
+    """All real roots of u k^4 + v k^3 + w k^2 + y k + z, ascending.
 
-    Leading coefficients below 1e-14 of the coefficient scale are dropped.
-    The roots are companion-matrix eigenvalues (np.roots).  A multiple root
-    comes back split, into nearby real eigenvalues or into a near-real
-    complex cluster (|Im| ~ 1e-8 for a double root), so |Im| <= 1e-6
-    max(1, |root|) counts as real; callers re-check roots.  Only eigenvalues
-    with Im exactly 0 are Newton-polished: at a complex cluster the
-    polynomial and its derivative are both rounding noise, so Newton can move
-    the root by 1e-4 (0.3 of (k-0.3)^2 (k-0.7)^2), and the cluster's real
-    part is kept instead.  Real halves of a split double root stay about
-    3e-9 apart after Newton, so roots within 1e-7 max(1, |root|) are merged
-    into their mean.
+    Leading coefficients below 1e-14 of the coefficient scale are dropped, and
+    the roots are companion-matrix eigenvalues (np.roots).  A multiple root
+    comes back split (a double root into a complex pair with |Im| ~ 1e-8), so
+    |Im| <= 1e-6 max(1, |root|) counts as real; callers re-check roots.  Only
+    eigenvalues with Im exactly 0 are Newton-polished: at a complex cluster
+    Newton can move the root by 1e-4, so its real part is kept.  Roots within
+    1e-7 max(1, |root|) are merged into their mean.
     """
     # Python floats throughout: Newton on numpy scalars is about 2.5x slower
     coeffs = [float(c) for c in (u, v, w, y, z)]
@@ -222,15 +208,10 @@ def real_quartic_roots(u: float, v: float, w: float, y: float, z: float) -> list
     return out
 
 
-# ---------------------------------------------------------------------------
-# entanglement time
-# ---------------------------------------------------------------------------
-
-def _nt_minus_fn(sf: StandardForm, channel: ChannelSpec):
-    """Batched nt_minus(k) evaluator on raw entries (no per-call validation);
-    each value is bitwise the one a single 4x4 `det` gives."""
-    s0 = sf.to_matrix().entries
-    sinf = asymptotic_covariance(channel).entries
+def _nt_minus_fn(s0: np.ndarray, sinf: np.ndarray):
+    """Batched nt_minus(k) evaluator on the raw entries of sigma(0) and
+    sigma_inf (no per-call validation); each value is bitwise the one a
+    single 4x4 `det` gives."""
 
     def nt_minus(k: np.ndarray) -> np.ndarray:
         s = sinf * (1.0 - k[:, None, None]) + s0 * k[:, None, None]
@@ -291,15 +272,15 @@ def entanglement_time(sf: StandardForm, channel: ChannelSpec) -> EntanglementTim
     The quartic root closest to one is cross-checked against an independent
     bisection on nt_minus(t) - 1/2; disagreement beyond tolerance raises.
     """
-    neg0 = log_negativity(sf.to_matrix())
+    sigma0, sigma_inf = sf.to_matrix(), asymptotic_covariance(channel)
+    neg0 = log_negativity(sigma0)
     if neg0.separable:
         raise NotEntangledAtStartError(
             f"state is separable at t = 0 (nt_minus = {neg0.nt_minus:.6g}, E_N = 0)")
 
-    nt = _nt_minus_fn(sf, channel)
+    nt = _nt_minus_fn(sigma0.entries, sigma_inf.entries)
     g = lambda k: nt(k) - 0.5
-    quartic = separability_quartic(invariant_polynomials(sf, channel))
-    candidates = [k for k in real_quartic_roots(*quartic.coefficients())
+    candidates = [k for k in real_quartic_roots(*separability_quartic(sigma0, sigma_inf))
                   if K_MIN < k <= 1.0 + 1e-12]
     # every candidate re-checked in one batch; the largest k that passes wins
     ks = np.minimum(np.sort(candidates)[::-1], 1.0)

@@ -150,11 +150,11 @@ def test_asymptotic_state_is_fixed_point(rng):
 
 
 def test_equal_baths_flag():
-    assert ChannelSpec.thermal(0.5, 0.5).equal_baths
-    assert not ChannelSpec.thermal(0.5, 0.6).equal_baths
+    assert BathSpec.thermal(0.5).equals(BathSpec.thermal(0.5))
+    assert not BathSpec.thermal(0.5).equals(BathSpec.thermal(0.6))
     phase = cmath.exp(-0.2j)
     b = BathSpec(N=1.0, M=0.5 * phase)
-    assert ChannelSpec(b, BathSpec(N=1.0, M=0.5 * phase)).equal_baths
+    assert b.equals(BathSpec(N=1.0, M=0.5 * phase))
 
 
 def test_gamma_must_be_positive():

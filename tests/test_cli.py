@@ -252,6 +252,33 @@ def test_overflowing_bath_is_one_unphysical_line(bath, shown, capsys):
     assert err.startswith("gclab: unphysical input: ") and shown in err
 
 
+@pytest.mark.parametrize("bath", [["thermal", "1e200"], ["ph", "1e-300", "0"],
+                                  ["thermal", "1e154"]],
+                         ids=["thermal-1e200", "ph-1e-300-0", "thermal-1e154"])
+@pytest.mark.parametrize("command", [["tent"], ["sweep", "--tent", "--axis1", "N2:0.5:1:2"]],
+                         ids=["tent", "sweep-tent"])
+def test_out_of_range_bath_on_the_tent_path_is_one_unphysical_line(command, bath, capsys):
+    # the quartic's coefficients overflow a float: a range error, not a traceback
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli([*command, *RUN[:4], "--bath1", *bath], capsys)
+    assert code == 3
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert err.startswith("gclab: unphysical input: ") and "numerical range" in err
+
+
+@pytest.mark.parametrize("axis", ["N1:1e200:1e201:2", "mu1:1e-310:1e-300:2"])
+def test_out_of_range_sweep_axis_is_one_line_without_a_warning(axis, capsys):
+    # the suite turns RuntimeWarning into an error: axis values are Python
+    # floats, so the bath arithmetic overflows without a numpy warning
+    code, out, err = run_cli(["sweep", *RUN[:4], "--axis1", axis], capsys)
+    assert code == 3
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert err.startswith("gclab: unphysical input: ")
+
+
 def test_bath1_angle_must_be_zero(capsys):
     code, _, err = run_cli(["metrics", "--state", "st", "1", "1",
                             "--bath1", "ph", "0.5", "1", "0.3",

@@ -1,7 +1,9 @@
 """Invariant polynomials, the separability quartic, entanglement time and its
 closed-form special cases."""
 
+import itertools
 import math
+from fractions import Fraction
 
 import mpmath
 import numpy as np
@@ -28,7 +30,7 @@ from gclab import (
 )
 from gclab import entanglement
 from gclab.channels import BathSpec
-from gclab.cli import main
+from gclab.cli import RunConfig, main
 from util import random_channel, random_standard_form
 
 POINT = StandardForm(2.0, 1.0, 1.0, -1.0)
@@ -103,14 +105,14 @@ def test_quartic_tracks_ppt_boundary_functional(rng):
     for _ in range(30):
         sf = random_standard_form(rng)
         spec = random_channel(rng)
-        q = separability_quartic(invariant_polynomials(sf, spec))
         sigma_inf = asymptotic_covariance(spec)
+        q = separability_quartic(sf.to_matrix(), sigma_inf)
         for t in rng.uniform(0.0, 4.0, size=3):
             k = math.exp(-spec.gamma * t)
             inv = local_invariants(evolve(sf.to_matrix(), sigma_inf, spec.gamma, t))
             direct = (4.0 * inv.det_sigma + 0.25 - inv.det_alpha - inv.det_beta
                       + 2.0 * inv.det_gamma)
-            assert np.polyval(q.coefficients(), k) == pytest.approx(
+            assert np.polyval(q, k) == pytest.approx(
                 direct, rel=1e-8, abs=1e-9)
 
 
@@ -120,6 +122,102 @@ def test_quartic_root_is_ppt_crossing():
     result = entanglement_time(sf, spec)
     sigma = evolve(sf.to_matrix(), asymptotic_covariance(spec), 1.0, result.t_ent)
     assert log_negativity(sigma).nt_minus == pytest.approx(0.5, abs=1e-7)
+
+
+# ---------------------------------------------------------------------------
+# the quartic is exact on the float entries of sigma(0) and sigma_inf
+# ---------------------------------------------------------------------------
+
+def _poly_mul(p, q):
+    out = [Fraction(0)] * (len(p) + len(q) - 1)
+    for i, x in enumerate(p):
+        for j, y in enumerate(q):
+            out[i + j] += x * y
+    return out
+
+
+def _poly_det(m, rows, cols):
+    """Leibniz determinant of the submatrix (rows, cols) of a matrix of
+    polynomials in k, with Fraction coefficients, padded to degree 4."""
+    total = [Fraction(0)] * 5
+    for perm in itertools.permutations(cols):
+        sign = (-1) ** sum(x > y for x, y in itertools.combinations(perm, 2))
+        entries = [m[i][j] for i, j in zip(rows, perm)]
+        if not all(any(p) for p in entries):
+            continue
+        term = [Fraction(sign)]
+        for p in entries:
+            term = _poly_mul(term, p)
+        total = [x + y for x, y in zip(total, term + [Fraction(0)] * 5)]
+    return total
+
+
+def _fraction_reference(sf, spec):
+    """(Det alpha, Det beta, Det gamma, Det sigma, quartic) coefficients,
+    ascending in k, from all sixteen entries of sigma(k) in Fractions."""
+    s0 = sf.to_matrix().entries.tolist()
+    si = asymptotic_covariance(spec).entries.tolist()
+    m = [[[Fraction(si[i][j]), Fraction(s0[i][j]) - Fraction(si[i][j])] for j in range(4)]
+         for i in range(4)]
+    det_a = _poly_det(m, (0, 1), (0, 1))
+    det_b = _poly_det(m, (2, 3), (2, 3))
+    det_g = _poly_det(m, (0, 1), (2, 3))
+    det_s = _poly_det(m, range(4), range(4))
+    quartic = [4 * s - a - b + 2 * g for s, a, b, g in zip(det_s, det_a, det_b, det_g)]
+    quartic[0] += Fraction(1, 4)
+    return det_a, det_b, det_g, det_s, quartic
+
+
+def test_quartic_equals_fraction_reference_bit_for_bit():
+    # float(Fraction) rounds correctly, so the coefficients must match exactly
+    rng = np.random.default_rng(28)
+    for i in range(300):
+        sf = random_standard_form(rng, a_max=3.0 if i % 2 else 30.0)
+        spec = random_channel(rng, mu_min=0.05, r_max=0.6 if i % 3 else 2.5)
+        det_a, det_b, det_g, det_s, quartic = _fraction_reference(sf, spec)
+        got = separability_quartic(sf.to_matrix(), asymptotic_covariance(spec))
+        assert got == tuple(float(c) for c in reversed(quartic))
+        p = invariant_polynomials(sf, spec)
+        assert p.sigma_coeffs == tuple(float(c) for c in det_s)
+        assert p.alpha_coeffs == tuple(float(c) for c in det_a[:3])
+        assert p.beta_coeffs == tuple(float(c) for c in det_b[:3])
+        assert det_g[:2] == [0, 0] and p.gamma2 == float(det_g[2])
+
+
+def test_vacuum_repro_never_separates(capsys):
+    # its old quartic had y = 2.2e-16 where the exact value is 0: a spurious
+    # root near 1e-16 gave t_ent = 36.93 with tangent=1
+    code = main(["tent", "--state", "sf", "0.8628081972177435", "2.4101393235373685",
+                 "0.9619704362489083", "-1.0355043175741971",
+                 "--bath1", "thermal", "0", "--bath2", "thermal", "0"])
+    assert code == 0
+    assert capsys.readouterr().out == "t_ent=never method=bisection residual=nan\n"
+
+
+def test_vacuum_baths_give_no_tangent_answer():
+    # about 15 % of these queries printed a tangent=1 time with the float
+    # expansion of the coefficients
+    rng = np.random.default_rng(11)
+    spec = ChannelSpec.thermal(0.0, 0.0)
+    for _ in range(200):
+        result = entanglement_time(random_standard_form(rng, entangled=True), spec)
+        assert not result.tangent
+
+
+@pytest.mark.parametrize("r", [2, 3, 4, 5])
+def test_twin_beam_time_matches_closed_form_on_its_float_entries(r):
+    # in equal thermal baths nt_minus = n + (a - |c| - n) k is linear in k, so
+    # the crossing is k = (n - 1/2) / (n + |c| - a) on the float entries
+    cfg = (RunConfig().set_state(["st", "1", str(r)], "--state")
+           .set_bath("bath1", ["thermal", "0.5"], "--bath1")
+           .set_bath("bath2", ["thermal", "0.5"], "--bath2"))
+    sf, spec = cfg.standard_form(), cfg.channel()
+    n = Fraction(asymptotic_covariance(spec).entries[0, 0])
+    k = (n - Fraction(1, 2)) / (n + abs(Fraction(sf.c1)) - Fraction(sf.a))
+    with mpmath.workdps(50):
+        exact = -mpmath.log(mpmath.mpf(k.numerator) / k.denominator)
+        result = entanglement_time(sf, spec)
+        assert abs(result.t_ent - exact) <= 1e-15 * exact
 
 
 # ---------------------------------------------------------------------------
