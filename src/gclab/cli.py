@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import re
 import sys
 from dataclasses import dataclass, replace
 
@@ -370,6 +371,11 @@ def _add_common(parser):
     parser.add_argument("-o", "--output", default=None)
 
 
+# argparse takes a "-" token for an option unless it matches this pattern;
+# its own (Python 3.11) has no exponent form, so -5.36e-05 was an option
+NEGATIVE_NUMBER = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="gclab",
@@ -396,6 +402,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--gamma", type=finite_float, default=1.0)
     p.add_argument("-o", "--output", default=None,
                    help="output base name (files get _curve<k>.csv suffixes)")
+    for p in sub.choices.values():
+        p._negative_number_matcher = NEGATIVE_NUMBER
     return parser
 
 

@@ -32,8 +32,8 @@ from .errors import (
     NotEntangledAtStartError,
     UnphysicalChannelError,
 )
-from .evolution import _invariants
-from .states import CovarianceMatrix, StandardForm, log_negativity
+from .states import (CovarianceMatrix, StandardForm, block_invariants, log_negativity,
+                     require_bona_fide, symplectic_pair)
 
 # Gamma*t horizon beyond which the state is numerically asymptotic
 T_HORIZON = 60.0
@@ -210,15 +210,14 @@ def real_quartic_roots(u: float, v: float, w: float, y: float, z: float) -> list
 
 def _nt_minus_fn(s0: np.ndarray, sinf: np.ndarray):
     """Batched nt_minus(k) evaluator on the raw entries of sigma(0) and
-    sigma_inf (no per-call validation); each value is bitwise the one a
-    single 4x4 `det` gives."""
+    sigma_inf (no per-call validation), by the kernels `symplectic_spectrum`
+    uses, so each value is bitwise the one it gives on sigma(k)."""
 
     def nt_minus(k: np.ndarray) -> np.ndarray:
-        s = sinf * (1.0 - k[:, None, None]) + s0 * k[:, None, None]
-        det_a, det_b, det_g, det_s = _invariants(s)
-        delta_t = det_a + det_b - 2.0 * det_g
-        rad = np.maximum(delta_t * delta_t - 4.0 * det_s, 0.0)
-        return np.sqrt(np.maximum((delta_t - np.sqrt(rad)) / 2.0, 0.0))
+        kk = k[:, None, None]
+        s = sinf * (1.0 - kk) + s0 * kk
+        det_a, det_b, det_g, det_s = block_invariants(s)
+        return symplectic_pair(det_a + det_b - 2.0 * det_g, det_s)[0]
 
     return nt_minus
 
@@ -236,6 +235,7 @@ REFINE_POINTS = 32
 def _bisect_crossing(g) -> float | None:
     """First k (descending from 1) where g = nt_minus - 1/2 (a batched
     evaluator) turns >= 0; None if g never reaches G_NOISE on the scan grid.
+    g(1) < 0: g(1) is bitwise the nt_minus of sigma(0), checked by the caller.
 
     The bracket runs from the first scan point with g >= G_NOISE up to the
     nearest earlier one with g <= -G_NOISE (else k = 1).  Local channels cannot
@@ -247,8 +247,6 @@ def _bisect_crossing(g) -> float | None:
     while start < SCAN_K.size:
         ks = SCAN_K[start:start + size]
         gs = g(ks)
-        if start == 0 and gs[0] >= 0.0:
-            return 1.0
         hits = np.flatnonzero(gs >= G_NOISE)
         end = hits[0] if hits.size else ks.size
         below = np.flatnonzero(gs[:end] <= -G_NOISE)
@@ -269,10 +267,13 @@ def _bisect_crossing(g) -> float | None:
 def entanglement_time(sf: StandardForm, channel: ChannelSpec) -> EntanglementTimeResult:
     """Time at which an initially entangled state becomes separable.
 
-    The quartic root closest to one is cross-checked against an independent
-    bisection on nt_minus(t) - 1/2; disagreement beyond tolerance raises.
+    sigma_inf is validated before sigma(0), so a bad bath is reported before
+    a bad state.  The quartic root closest to one is cross-checked against an
+    independent bisection on nt_minus(t) - 1/2; disagreement beyond tolerance
+    raises.
     """
     sigma0, sigma_inf = sf.to_matrix(), asymptotic_covariance(channel)
+    require_bona_fide(sigma_inf)
     neg0 = log_negativity(sigma0)
     if neg0.separable:
         raise NotEntangledAtStartError(

@@ -22,10 +22,12 @@ from .states import (
     EPS_PHYS,
     CovarianceMatrix,
     StandardForm,
+    block_invariants,
     log_negativity,
     mutual_information,
     purity,
     require_bona_fide,
+    symplectic_pair,
     symplectic_spectrum,
     von_neumann_entropy,
 )
@@ -146,19 +148,16 @@ def time_series(problem: EvolutionProblem) -> list[MetricsRow]:
 
 
 # The batched core repeats the arithmetic of the scalar functionals in
-# `states` elementwise.  Python's max(x, 0.0), max(0.0, x) and min(x, 1.0)
-# become np.where with the same comparison, so ties and signed zeros match.
+# `states` elementwise: the invariants and the spectrum come from the same
+# kernels (`block_invariants`, `symplectic_pair`), and Python's max(x, 0.0),
+# max(0.0, x) and min(x, 1.0) become np.where with the same comparison, so
+# ties and signed zeros match.
 
 def _log(x: np.ndarray) -> np.ndarray:
-    """math.log per element (nan where x <= 0).  np.log differs from libm in
-    the last bit on some inputs, enough to change a printed digit."""
+    """math.log per element (nan where x <= 0), as the scalar functionals
+    take it: np.log differs from libm in the last bit on some inputs, enough
+    to change a printed digit."""
     return np.array([math.log(v) if v > 0.0 else math.nan for v in x.tolist()])
-
-
-def _square(x: np.ndarray) -> np.ndarray:
-    """Python's float ** 2 (libm pow) per element, as `symplectic_spectrum`
-    takes it; x * x differs from it by one ulp on some inputs."""
-    return np.array([v ** 2 for v in x.tolist()])
 
 
 def _entropy_kernel(x: np.ndarray) -> np.ndarray:
@@ -166,35 +165,13 @@ def _entropy_kernel(x: np.ndarray) -> np.ndarray:
     return (x + 0.5) * _log(x + 0.5) - np.where(xm > 0.0, xm * _log(xm), 0.0)
 
 
-def _pair(delta: np.ndarray, det_s: np.ndarray):
-    """Square roots of the roots of q^2 - delta q + Det sigma, and the rows
-    where `symplectic_spectrum` raises ComplexSpectrumError."""
-    rad = _square(delta) - 4.0 * det_s
-    root = np.sqrt(np.where(0.0 > rad, 0.0, rad))
-    lo = (delta - root) / 2.0
-    hi = (delta + root) / 2.0
-    bad = (rad < -EPS_CLAMP) | (lo < -EPS_CLAMP) | (hi < -EPS_CLAMP)
-    return (np.sqrt(np.where(0.0 > lo, 0.0, lo)),
-            np.sqrt(np.where(0.0 > hi, 0.0, hi)), bad)
-
-
-def _invariants(s: np.ndarray):
-    """Det alpha, Det beta, Det gamma and Det sigma of each (4, 4) matrix of
-    s, each bitwise what `local_invariants` gives for that matrix."""
-    det_a = s[:, 0, 0] * s[:, 1, 1] - s[:, 0, 1] * s[:, 1, 0]
-    det_b = s[:, 2, 2] * s[:, 3, 3] - s[:, 2, 3] * s[:, 3, 2]
-    det_g = s[:, 0, 2] * s[:, 1, 3] - s[:, 0, 3] * s[:, 1, 2]
-    return det_a, det_b, det_g, np.linalg.det(s)
-
-
 def _evaluate(s: np.ndarray):
     """MetricsRow fields after t for each (4, 4) matrix of s, as rows of
     Python scalars, and the mask of rows the scalar path must take."""
-    det_a, det_b, det_g, det_s = _invariants(s)
+    det_a, det_b, det_g, det_s = block_invariants(s)
+    (n_minus, nt_minus), (n_plus, _), rad, lower_sq = symplectic_pair(
+        np.stack([det_a + det_b + 2.0 * det_g, det_a + det_b - 2.0 * det_g]), det_s)
     with np.errstate(invalid="ignore", divide="ignore"):
-        n_minus, n_plus, bad = _pair(det_a + det_b + 2.0 * det_g, det_s)
-        nt_minus, _, bad_t = _pair(det_a + det_b - 2.0 * det_g, det_s)
-
         neg_log = -_log(2.0 * nt_minus)
         e_n = np.where(nt_minus > 0.0, np.where(neg_log > 0.0, neg_log, 0.0), math.inf)
 
@@ -211,7 +188,8 @@ def _evaluate(s: np.ndarray):
 
     # the checks of `metrics_at` on sigma(t); the entropy kernel needs >= 1/2
     edge = 0.5 - EPS_PHYS
-    bad |= (bad_t | (mu > 1.0 + EPS_PHYS) | (n_plus < edge) | (a < edge) | (b < edge)
+    bad = (~np.isfinite(rad) | (rad < -EPS_CLAMP) | (lower_sq < -EPS_CLAMP)).any(axis=0)
+    bad |= ((mu > 1.0 + EPS_PHYS) | (n_plus < edge) | (a < edge) | (b < edge)
             | ~np.isfinite(s).all(axis=(1, 2)))
     values = zip(pur.tolist(), entropy.tolist(), mi.tolist(), e_n.tolist(),
                  nt_minus.tolist(), n_minus.tolist(), n_plus.tolist(),

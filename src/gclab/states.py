@@ -25,12 +25,6 @@ EPS_PHYS = 1e-9     # physicality slack on eigenvalue thresholds
 EPS_CLAMP = 1e-12   # radicands/discriminants above -EPS_CLAMP are clamped to 0
 
 
-def _clamp_nonneg(x, tol=EPS_CLAMP):
-    if x < -tol:
-        return None
-    return max(x, 0.0)
-
-
 @dataclass(frozen=True)
 class CovarianceMatrix:
     """Real symmetric matrix of second moments; the Gaussian state itself.
@@ -133,19 +127,41 @@ def _check_symmetric(m: CovarianceMatrix) -> float:
     return res
 
 
+# flat 4x4 indices of x00, x11, x01 and x10 of the blocks alpha, beta, gamma
+_BLOCK_ENTRIES = np.array([[0, 10, 2], [5, 15, 7], [1, 11, 3], [4, 14, 6]])
+
+
+def block_invariants(stack: np.ndarray):
+    """Det alpha, Det beta, Det gamma and Det sigma of each 4x4 matrix of an
+    (n, 4, 4) stack, as four arrays of length n."""
+    x00, x11, x01, x10 = stack.reshape(-1, 16).T[_BLOCK_ENTRIES]
+    det_a, det_b, det_g = x00 * x11 - x01 * x10
+    return det_a, det_b, det_g, np.linalg.det(stack)
+
+
 def local_invariants(m: CovarianceMatrix) -> SymplecticInvariants:
     """Block determinants Det(alpha), Det(beta), Det(gamma), Det(sigma)."""
     _check_symmetric(m)
     if m.mode_count != 2:
         raise NonSymmetricMatrixError("local_invariants requires a 4x4 matrix")
-    e = m.entries
-    det2 = lambda b: b[0, 0] * b[1, 1] - b[0, 1] * b[1, 0]
-    return SymplecticInvariants(
-        det_alpha=float(det2(m.block(0, 0))),
-        det_beta=float(det2(m.block(1, 1))),
-        det_gamma=float(det2(m.block(0, 1))),
-        det_sigma=float(np.linalg.det(e)),
-    )
+    return SymplecticInvariants(*(float(x[0]) for x in block_invariants(m.entries[None])))
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def symplectic_pair(delta, det_sigma):
+    """The pair of square roots of the roots of q^2 - delta q + Det sigma, on
+    floats or arrays: n-+ for delta = Delta, nt-+ for delta = Delta tilde.
+
+    Returns (lower, upper, radicand, lower squared before clamping).  The
+    radicand and the squares are clamped at 0; a caller rejects a pair whose
+    radicand is not finite or whose radicand or lower square is below
+    -EPS_CLAMP (the upper square is never below the lower one).
+    """
+    rad = delta * delta - 4.0 * det_sigma
+    root = np.sqrt(np.maximum(rad, 0.0))
+    lower_sq = (delta - root) / 2.0
+    upper_sq = (delta + root) / 2.0
+    return np.sqrt(np.maximum(lower_sq, 0.0)), np.sqrt(np.maximum(upper_sq, 0.0)), rad, lower_sq
 
 
 _OMEGA2 = np.array([[0.0, 1.0], [-1.0, 0.0]])
@@ -184,9 +200,10 @@ def validate_covariance(m: CovarianceMatrix) -> ValidationReport:
 def require_bona_fide(m: CovarianceMatrix) -> ValidationReport:
     report = validate_covariance(m)
     if not report.bona_fide:
+        out_of_range = "" if math.isfinite(report.det_sigma) else ", outside the numerical range"
         raise InvalidStateError(
             "matrix is not a bona fide covariance matrix (min eig(sigma + i Omega/2)"
-            f" = {report.margin:.6g}, Det sigma = {report.det_sigma:.6g})")
+            f" = {report.margin:.6g}, Det sigma = {report.det_sigma:.6g}){out_of_range}")
     return report
 
 
@@ -196,22 +213,17 @@ def symplectic_spectrum(m: CovarianceMatrix) -> SymplecticSpectrum:
 
 
 def _spectrum_of(inv: SymplecticInvariants) -> SymplecticSpectrum:
-    """n+- and nt+- from the invariants: roots of q^2 - Delta q + Det sigma."""
-
-    def pair(delta: float) -> tuple[float, float]:
-        rad = _clamp_nonneg(delta ** 2 - 4.0 * inv.det_sigma)
-        if rad is None:
-            raise ComplexSpectrumError(
-                f"spectrum radicand {delta ** 2 - 4.0 * inv.det_sigma:.3e} < 0")
-        root = math.sqrt(rad)
-        lo = _clamp_nonneg((delta - root) / 2.0)
-        hi = _clamp_nonneg((delta + root) / 2.0)
-        if lo is None or hi is None:
+    """n+- and nt+- from the invariants, by `symplectic_pair`."""
+    lower, upper, rad, lower_sq = symplectic_pair(
+        np.array([inv.delta, inv.delta_tilde]), inv.det_sigma)
+    for r, sq in zip(rad.tolist(), lower_sq.tolist()):
+        if not math.isfinite(r):
+            raise DomainError("spectrum radicand is outside the numerical range")
+        if r < -EPS_CLAMP:
+            raise ComplexSpectrumError(f"spectrum radicand {r:.3e} < 0")
+        if sq < -EPS_CLAMP:
             raise ComplexSpectrumError("negative squared symplectic eigenvalue")
-        return math.sqrt(lo), math.sqrt(hi)
-
-    n_minus, n_plus = pair(inv.delta)
-    nt_minus, nt_plus = pair(inv.delta_tilde)
+    (n_minus, nt_minus), (n_plus, nt_plus) = lower.tolist(), upper.tolist()
     return SymplecticSpectrum(n_minus, n_plus, nt_minus, nt_plus)
 
 
@@ -313,7 +325,6 @@ def symmetric_ppt_eigenvalue(sf: StandardForm) -> float:
     if abs(sf.a - sf.b) > 1e-9:
         raise NotSymmetricStateError(f"a = {sf.a:.6g} != b = {sf.b:.6g}")
     prod = (sf.a - abs(sf.c1)) * (sf.a - abs(sf.c2))
-    clamped = _clamp_nonneg(prod)
-    if clamped is None:
+    if prod < -EPS_CLAMP:
         raise InvalidStateError(f"(a-|c1|)(a-|c2|) = {prod:.3e} < 0")
-    return math.sqrt(clamped)
+    return math.sqrt(max(prod, 0.0))

@@ -13,12 +13,14 @@ from gclab import (
     BathSpec,
     ChannelSpec,
     EvolutionProblem,
+    asymptotic_covariance,
     squeezed_thermal_state,
     time_series,
 )
 import gclab.cli
 import gclab.states
-from gclab.cli import CSV_HEADER, SWEEP_AXES, RunConfig, apply_axis, fmt, main, metrics_line
+from gclab.cli import (CSV_HEADER, SWEEP_AXES, RunConfig, apply_axis, apply_flags, fmt, main,
+                       metrics_line)
 from gclab.evolution import MetricsRow
 from util import scalar_time_series
 
@@ -122,7 +124,11 @@ def test_tent_validates_the_state_once(monkeypatch, capsys):
     code, out, _ = run_cli(["tent", *RUN], capsys)
     assert code == 0
     assert out.startswith("t_ent=")
-    assert len(calls) == 1
+    # one check per matrix: sigma_inf, then sigma(0)
+    cfg = apply_flags(RunConfig(), gclab.cli.PARSER.parse_args(["tent", *RUN]))
+    expected = [asymptotic_covariance(cfg.channel()), cfg.standard_form().to_matrix()]
+    assert len(calls) == 2
+    assert all(np.array_equal(m.entries, e.entries) for m, e in zip(calls, expected))
 
 
 def test_tent_reports_a_channel_error_before_a_state_error(capsys):
@@ -341,7 +347,6 @@ def test_non_finite_number_in_config_file_is_config_error(tmp_path, capsys):
     assert "run.cfg:2" in err
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered")
 @pytest.mark.parametrize("command", ["metrics", "tent"])
 def test_overflowing_state_is_unphysical(command, capsys):
     code, out, err = run_cli([command, "--state", "sf", "1e200", "1e200", "0", "0",
@@ -349,6 +354,50 @@ def test_overflowing_state_is_unphysical(command, capsys):
     assert code == 3
     assert "unphysical input" in err
     assert out == ""
+
+
+def test_overflowing_spectrum_radicand_is_one_unphysical_line(capsys):
+    # sigma(0) and sigma_inf are bona fide, but Delta^2 of sigma(1) overflows;
+    # the suite's filter turns a numpy RuntimeWarning into an error
+    code, out, err = run_cli(["metrics", *RUN[:4], "--bath1", "thermal", "1e100",
+                              "--times", "0,1"], capsys)
+    assert code == 3
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert err.startswith("gclab: unphysical input: ") and "numerical range" in err
+
+
+@pytest.mark.parametrize("command", [["tent"], ["sweep", "--tent", "--axis1", "r_state:1:1.5:2"],
+                                     ["metrics", "--times", "0"]],
+                         ids=["tent", "sweep-tent", "metrics"])
+def test_unphysical_bath_is_rejected_on_every_path(command, capsys):
+    # the bath 2 state misses the uncertainty bound by 3.7e-9 (> EPS_PHYS)
+    code, out, err = run_cli([*command, *RUN[:4], "--bath1", "thermal", "0.5",
+                              "--bath2", "ph", "0.5", "9.75", "0.3"], capsys)
+    assert code == 3
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert err.startswith("gclab: unphysical input: ") and "= -3.72529e-09," in err
+
+
+def test_tent_reports_a_bath_error_before_a_state_error(capsys):
+    code, _, err = run_cli(["tent", "--state", "sf", "1", "1", "1.2", "-1.2",
+                            "--bath2", "ph", "0.5", "9.75", "0.3"], capsys)
+    assert code == 3
+    assert "= -3.72529e-09," in err
+
+
+@pytest.mark.parametrize("tail", [[], ["--gamma", "2"], ["-o", "-"]])
+@pytest.mark.parametrize("token, plain", [("-5.36e-05", "-0.0000536"),
+                                          ("-5E-1", "-0.5"), ("-.5e-1", "-0.05")])
+def test_negative_number_in_exponent_form_is_a_number(token, plain, tail, capsys):
+    # argparse's own negative-number pattern (Python 3.11) has no exponent
+    # form; the subparsers carry one that has
+    base = ["metrics", *RUN[:4], "--bath1", "nm", "0.5", "0.3", "--times", "0,1",
+            "--bath2", "nm", "0.5", "0.3"]
+    code, out, err = run_cli([*base, token, *tail], capsys)
+    assert (code, err) == (0, "")
+    assert (code, out) == run_cli([*base, plain, *tail], capsys)[:2]
 
 
 def test_nm_bath2_keeps_the_sign_of_M(capsys):

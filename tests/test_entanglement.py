@@ -13,6 +13,7 @@ from gclab import (
     NEVER,
     ChannelSpec,
     DomainError,
+    EvolutionProblem,
     NotEntangledAtStartError,
     StandardForm,
     UnphysicalChannelError,
@@ -27,6 +28,7 @@ from gclab import (
     squeezed_thermal_state,
     squeezed_thermal_tent,
     symmetric_tent_bounds,
+    time_series,
 )
 from gclab import entanglement
 from gclab.channels import BathSpec
@@ -425,6 +427,35 @@ def test_scan_bracket_skips_points_inside_the_noise_gate():
     edge = entanglement.SCAN_K[42]
     g = lambda k: np.where(k > k_cross, -1.0, np.where(k > edge, 1e-9, 1.0))
     assert abs(entanglement._bisect_crossing(g) - k_cross) <= 1e-13
+
+
+# standard forms whose scan nt_minus at k = 1 once differed in the last bit
+# from the scalar one (the scan squared Delta tilde by a multiply, the scalar
+# path by libm pow), in thermal baths N = 0.3 and 0.2
+LAST_BIT_STATES = [
+    StandardForm(1.2373878225509212, 2.3080305659781213, 0.09224337953894947,
+                 -0.20961472690706245),
+    StandardForm(2.679988673652481, 1.6979583615839258, 0.05900271714089067,
+                 1.4826194993837563),
+    StandardForm(0.5346681634633761, 2.1880167738802996, 0.0780981796175666,
+                 0.2817409168129039),
+    StandardForm(2.815122654636928, 2.045170303687219, 0.32391762038182215,
+                 -2.1707306057067357),
+    StandardForm(0.9280232841075513, 2.9134694085502466, 0.563064480246249,
+                 0.8542686539014139),
+]
+
+
+def test_one_nt_minus_for_scan_scalar_and_series(rng):
+    # the scan at k = 1, the scalar functional and the batched series core
+    # at t = 0 all read sigma(0): the same bits
+    spec = ChannelSpec.thermal(0.3, 0.2)
+    sigma_inf = asymptotic_covariance(spec).entries
+    for sf in LAST_BIT_STATES + [random_standard_form(rng) for _ in range(300)]:
+        scan = entanglement._nt_minus_fn(sf.to_matrix().entries, sigma_inf)(np.ones(1))[0]
+        scalar = log_negativity(sf.to_matrix()).nt_minus
+        series = time_series(EvolutionProblem(sf, spec, (0.0,)))[0].nt_minus
+        assert scan == scalar == series, sf
 
 
 # ---------------------------------------------------------------------------
