@@ -23,6 +23,7 @@ from .states import (
     CovarianceMatrix,
     StandardForm,
     block_invariants,
+    entropy_f,
     log_negativity,
     mutual_information,
     purity,
@@ -148,22 +149,10 @@ def time_series(problem: EvolutionProblem) -> list[MetricsRow]:
 
 
 # The batched core repeats the arithmetic of the scalar functionals in
-# `states` elementwise: the invariants and the spectrum come from the same
-# kernels (`block_invariants`, `symplectic_pair`), and Python's max(x, 0.0),
-# max(0.0, x) and min(x, 1.0) become np.where with the same comparison, so
-# ties and signed zeros match.
-
-def _log(x: np.ndarray) -> np.ndarray:
-    """math.log per element (nan where x <= 0), as the scalar functionals
-    take it: np.log differs from libm in the last bit on some inputs, enough
-    to change a printed digit."""
-    return np.array([math.log(v) if v > 0.0 else math.nan for v in x.tolist()])
-
-
-def _entropy_kernel(x: np.ndarray) -> np.ndarray:
-    xm = x - 0.5
-    return (x + 0.5) * _log(x + 0.5) - np.where(xm > 0.0, xm * _log(xm), 0.0)
-
+# `states` elementwise: the invariants, the spectrum and f(x) come from the
+# same kernels (`block_invariants`, `symplectic_pair`, `entropy_f`), both take
+# logs with np.log, and Python's max(x, 0.0), max(0.0, x) and min(x, 1.0)
+# become np.where with the same comparison, so ties and signed zeros match.
 
 def _evaluate(s: np.ndarray):
     """MetricsRow fields after t for each (4, 4) matrix of s, as rows of
@@ -172,7 +161,7 @@ def _evaluate(s: np.ndarray):
     (n_minus, nt_minus), (n_plus, _), rad, lower_sq = symplectic_pair(
         np.stack([det_a + det_b + 2.0 * det_g, det_a + det_b - 2.0 * det_g]), det_s)
     with np.errstate(invalid="ignore", divide="ignore"):
-        neg_log = -_log(2.0 * nt_minus)
+        neg_log = -np.log(2.0 * nt_minus)
         e_n = np.where(nt_minus > 0.0, np.where(neg_log > 0.0, neg_log, 0.0), math.inf)
 
         mu = 1.0 / (4 * np.sqrt(det_s))
@@ -180,10 +169,10 @@ def _evaluate(s: np.ndarray):
 
         a = np.sqrt(det_a)
         b = np.sqrt(det_b)
-        f_minus = _entropy_kernel(np.where(0.5 > n_minus, 0.5, n_minus))
-        f_plus = _entropy_kernel(n_plus)
+        f_minus = entropy_f(np.where(0.5 > n_minus, 0.5, n_minus))
+        f_plus = entropy_f(n_plus)
         entropy = f_minus + f_plus
-        mi = _entropy_kernel(a) + _entropy_kernel(b) - f_minus - f_plus
+        mi = entropy_f(a) + entropy_f(b) - f_minus - f_plus
         mi = np.where(0.0 > mi, 0.0, mi)
 
     # the checks of `metrics_at` on sigma(t); the entropy kernel needs >= 1/2

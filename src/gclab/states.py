@@ -164,6 +164,15 @@ def symplectic_pair(delta, det_sigma):
     return np.sqrt(np.maximum(lower_sq, 0.0)), np.sqrt(np.maximum(upper_sq, 0.0)), rad, lower_sq
 
 
+@np.errstate(divide="ignore", invalid="ignore")
+def entropy_f(x):
+    """f(x) = (x+1/2)ln(x+1/2) - (x-1/2)ln(x-1/2), with 0 ln 0 = 0, on floats
+    or arrays.  np.log gives the same bits on a float and at every position of
+    an array, so the scalar functionals and the series core agree bit for bit."""
+    xm = x - 0.5
+    return (x + 0.5) * np.log(x + 0.5) - np.where(xm > 0.0, xm * np.log(xm), 0.0)
+
+
 _OMEGA2 = np.array([[0.0, 1.0], [-1.0, 0.0]])
 _HALF_I_OMEGA = {
     2: 0.5j * _OMEGA2,
@@ -200,7 +209,9 @@ def validate_covariance(m: CovarianceMatrix) -> ValidationReport:
 def require_bona_fide(m: CovarianceMatrix) -> ValidationReport:
     report = validate_covariance(m)
     if not report.bona_fide:
-        out_of_range = "" if math.isfinite(report.det_sigma) else ", outside the numerical range"
+        # a margin that passes (nan where Det sigma is not finite) leaves a
+        # Det sigma that rounding or overflow in the entries made <= 0
+        out_of_range = "" if report.margin < -EPS_PHYS else ", outside the numerical range"
         raise InvalidStateError(
             "matrix is not a bona fide covariance matrix (min eig(sigma + i Omega/2)"
             f" = {report.margin:.6g}, Det sigma = {report.det_sigma:.6g}){out_of_range}")
@@ -240,11 +251,7 @@ def entropy_kernel(x: float) -> float:
     """f(x) = (x+1/2)ln(x+1/2) - (x-1/2)ln(x-1/2), with 0 ln 0 = 0."""
     if x < 0.5 - EPS_PHYS:
         raise DomainError(f"entropy kernel needs x >= 1/2, got {x:.6g}")
-    xm = x - 0.5
-    out = (x + 0.5) * math.log(x + 0.5)
-    if xm > 0.0:
-        out -= xm * math.log(xm)
-    return out
+    return float(entropy_f(x))
 
 
 def von_neumann_entropy(m: CovarianceMatrix) -> float:
@@ -254,8 +261,8 @@ def von_neumann_entropy(m: CovarianceMatrix) -> float:
         mu = purity(m)
         if mu >= 1.0:
             return 0.0
-        return ((1.0 - mu) / (2.0 * mu) * math.log((1.0 + mu) / (1.0 - mu))
-                - math.log(2.0 * mu / (1.0 + mu)))
+        return float((1.0 - mu) / (2.0 * mu) * np.log((1.0 + mu) / (1.0 - mu))
+                     - np.log(2.0 * mu / (1.0 + mu)))
     spec = symplectic_spectrum(m)
     return entropy_kernel(max(spec.n_minus, 0.5)) + entropy_kernel(spec.n_plus)
 
@@ -276,7 +283,7 @@ def log_negativity(m: CovarianceMatrix) -> NegativityResult:
     """PPT test and the negativity measures built on nt_minus."""
     require_bona_fide(m)
     nt = symplectic_spectrum(m).nt_minus
-    en = max(0.0, -math.log(2.0 * nt)) if nt > 0.0 else math.inf
+    en = max(0.0, -float(np.log(2.0 * nt))) if nt > 0.0 else math.inf
     neg = max(0.0, (1.0 / (2.0 * nt) - 1.0) / 2.0) if nt > 0.0 else math.inf
     return NegativityResult(
         log_negativity=en,

@@ -219,15 +219,23 @@ def test_out_of_range_bath_is_one_error_line(argv, capsys):
     assert err.startswith("gclab: ")
 
 
+ZERO_DET_BATHS = ["--bath1", "ph", "0.5", "10.25", "--bath2", "ph", "0.5", "10.25", "0.3"]
+
+
 @pytest.mark.parametrize("argv", [
     ["metrics", "--state", "st", "1", "10", "--times", "0"],
-    ["metrics", *RUN[:4], "--bath1", "ph", "0.5", "10.25",
-     "--bath2", "ph", "0.5", "10.25", "0.3", "--times", "0"],
+    ["metrics", *RUN[:4], *ZERO_DET_BATHS, "--times", "0"],
+    ["tent", "--state", "st", "1", "10"],
+    ["tent", *RUN[:4], *ZERO_DET_BATHS],
+    ["sweep", "--state", "st", "1", "10", "--axis1", "N1:0:1:2", "--tent"],
+    ["sweep", *RUN[:4], *ZERO_DET_BATHS, "--axis1", "r_state:1:1.1:2", "--tent"],
 ])
 def test_zero_determinant_is_unphysical(argv, capsys):
+    # sigma is physical, and the margin passes: rounding left Det sigma = 0
     code, out, err = run_cli(argv, capsys)
     assert code == 3
     assert "unphysical input" in err
+    assert err.rstrip().endswith(", outside the numerical range")
     assert out == ""
 
 

@@ -253,6 +253,25 @@ def _problem_families(rng):
     ]
 
 
+def test_np_log_has_the_same_bits_on_a_float_and_at_every_array_position():
+    # the premise of the next test: the scalar functionals take np.log of
+    # Python floats, the series core of arrays of any length, and numpy's
+    # vectorised loops round alike in their body and in their tail
+    rng = np.random.default_rng(41)
+    for x in (rng.uniform(0.0, 1.0, 2000), np.exp(rng.uniform(math.log(0.5), math.log(1e6), 2000))):
+        x = x[(x > 0.0) & (x < 1e6)]
+        on_floats = np.array([np.log(v) for v in x.tolist()])
+        assert np.array_equal(np.array([np.log(v) for v in x]), on_floats), (
+            f"numpy {np.__version__}: np.log rounds an np.float64 unlike a Python float")
+        for n in range(1, 41):
+            m = len(x) // n * n
+            on_arrays = np.concatenate([np.log(x[i:i + n]) for i in range(0, m, n)])
+            diff = np.flatnonzero(on_arrays != on_floats[:m])
+            assert diff.size == 0, (
+                f"numpy {np.__version__}: np.log rounds position {diff[0] % n} of a length-{n}"
+                f" array unlike a Python float, so time_series cannot match the scalar path")
+
+
 def test_time_series_bytes_match_scalar_path(rng):
     compared = 0
     for _ in range(3):

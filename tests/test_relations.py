@@ -4,9 +4,11 @@ of time, and the semigroup property of the channel.
 
 The corpus is 300 seeded crossing queries: random entangled standard forms in
 thermal baths, in squeezed baths with phi2 = 0, and in squeezed baths with a
-bath-2 angle, in turn.
+bath-2 angle, in turn.  The `time_series` rows obey the same Gamma scaling
+and mode swap, on random standard forms over 50-point grids.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -15,10 +17,12 @@ import pytest
 from gclab import (
     BathSpec,
     ChannelSpec,
+    EvolutionProblem,
     StandardForm,
     asymptotic_covariance,
     entanglement_time,
     evolve,
+    time_series,
 )
 from util import random_channel, random_standard_form
 
@@ -28,6 +32,9 @@ GAMMA_REL = 4.4e-16
 # semigroup: the worst relative error seen on this corpus is 3.6e-13 with the
 # float-expanded quartic coefficients and 1.5e-13 with the exact ones
 SEMIGROUP_REL = 1e-12
+# mode swap on time_series rows, relative above 1 and absolute below; the
+# worst difference seen on this corpus is 5.5e-15
+SWAP_TOL = 1e-12
 
 
 def _channel(rng, kind: int) -> ChannelSpec:
@@ -97,3 +104,38 @@ def test_semigroup_in_thermal_baths(corpus):
         assert e[0, 0] == e[1, 1] and e[2, 2] == e[3, 3]
         later = entanglement_time(StandardForm(e[0, 0], e[2, 2], e[0, 2], e[1, 3]), spec)
         assert math.isclose(later.t_ent + t1, result.t_ent, rel_tol=SEMIGROUP_REL)
+
+
+def _series_problems(seed: int, kinds) -> list:
+    rng = np.random.default_rng(seed)
+    return [EvolutionProblem(random_standard_form(rng), _channel(rng, kind),
+                             tuple(np.linspace(0.0, rng.uniform(1.0, 6.0), 50)))
+            for _ in range(20) for kind in kinds]
+
+
+def test_gamma_is_the_unit_of_time_in_series_rows():
+    # (Gamma, t) -> (2 Gamma, t / 2) keeps every Gamma t, so every row
+    for problem in _series_problems(101, (0, 1, 2)):
+        spec = problem.channel
+        rows = time_series(problem)
+        faster = time_series(EvolutionProblem(
+            problem.initial, ChannelSpec(spec.bath1, spec.bath2, 2.0 * spec.gamma),
+            tuple(t / 2.0 for t in problem.time_grid)))
+        assert [dataclasses.replace(row, t=2.0 * row.t) for row in faster] == rows
+
+
+def test_mode_swap_leaves_series_rows_unchanged():
+    # with both baths squeezed along x (phi2 = 0) the two modes trade places
+    for problem in _series_problems(102, (0, 1)):
+        sf, spec = problem.initial, problem.channel
+        rows = time_series(problem)
+        swapped = time_series(EvolutionProblem(StandardForm(sf.b, sf.a, sf.c1, sf.c2),
+                                               ChannelSpec(spec.bath2, spec.bath1, spec.gamma),
+                                               problem.time_grid))
+        for row, other in zip(rows, swapped):
+            for name in ("purity", "von_neumann_entropy", "mutual_information",
+                         "log_negativity", "nt_minus", "n_minus", "n_plus"):
+                assert math.isclose(getattr(other, name), getattr(row, name),
+                                    rel_tol=SWAP_TOL, abs_tol=SWAP_TOL), (problem, row.t, name)
+            if abs(row.nt_minus - 0.5) > SWAP_TOL:
+                assert other.separable == row.separable
